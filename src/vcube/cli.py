@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from fractions import Fraction
@@ -241,8 +242,6 @@ def cmd_sweep(args, out):
             for r in integrity.density_audit(dims)
         ]
     elif args.kind == "rho":
-        import math
-
         header = [
             "n", "seed", "samples", "r0", "steps", "separator",
             "max_component", "value", "naive", "rho",

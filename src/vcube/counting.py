@@ -57,13 +57,22 @@ def exact_m(
     """
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got n={n} k={k}")
-    total = m_candidate_count(n, k)
-    if total > budget:
-        raise BudgetError(
-            f"exact_m(n={n}, k={k}) needs {total} candidates, over the "
-            f"budget of {budget}"
-        )
     size = binom_leq(n, k)
+    # A log-gamma estimate refuses all but a near miss before any
+    # big-integer work; its margin of e dwarfs its rounding error.
+    try:
+        log_total = _log_binom_real(2.0**n, size)
+    except OverflowError:  # 2^n is past float range
+        log_total = math.inf
+    if (
+        budget < 1
+        or log_total > math.log(budget) + 1.0
+        or m_candidate_count(n, k) > budget
+    ):
+        raise BudgetError(
+            f"exact_m(n={n}, k={k}) needs about e^{log_total:.1f} "
+            f"candidates, over the budget of {budget}"
+        )
     count = 0
     examined = 0
     for bits in _gosper(1 << n, size):
@@ -128,6 +137,13 @@ def conn_profile(
     vertex set exactly once; `budget` caps the number of visited sets.
     """
     size = 1 << n
+    # vertices and edges alone are connected sets: refuse before the tables
+    floor = size + n * size // 2
+    if floor > budget:
+        raise BudgetError(
+            f"conn_profile(n={n}) visits at least {floor} connected sets, "
+            f"over the budget of {budget}"
+        )
     counts = [0] * (size + 1)
     counts[0] = 1
     nbrs = [[v ^ (1 << i) for i in range(n)] for v in range(size)]

@@ -4,8 +4,10 @@ The radius r0 = floor(n/2 - alpha*sqrt(n)) comes from solving
 exp(-2*alpha^2)/alpha = sqrt(ln n)/sqrt(n).  Peeling repeatedly picks a
 center whose radius-r0 sphere is cheap relative to its ball within the
 still-alive family, removes the ball, and charges only the sphere to the
-separator.  The full transcript is a certificate that an independent
-audit can re-verify from scratch.
+separator.  A certificate stores the transcript (centers and their
+ball/sphere counts), the separator and the claimed value; the audit
+replays it with the peel's own step function, re-deriving every count
+and separator bit, and derives the separator size and largest component.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .cube import (
     binom_leq,
     flood_component_sizes,
     format_mask,
-    hamming,
     layer,
     log_binom,
     log_binom_leq,
@@ -73,7 +74,6 @@ class PeelStep:
     center: int
     ball_hits: int
     sphere_hits: int
-    candidates_sampled: int
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,20 @@ class IntegrityCertificate:
     config: PeelConfig
     steps: Tuple[PeelStep, ...]
     separator: Family
-    separator_size: int
-    max_component: int
     value: int
 
     @property
     def n(self) -> int:
         return self.params.n
+
+    @property
+    def separator_size(self) -> int:
+        return self.separator.size
+
+    @property
+    def max_component(self) -> int:
+        """The claimed largest component: value minus the separator."""
+        return self.value - self.separator.size
 
 
 def _radius_gap(alpha: float, target: float) -> float:
@@ -137,14 +144,7 @@ def census(family: Family, x: int, r0: int) -> Tuple[int, int]:
     n = family.n
     if not 0 <= r0 <= n:
         raise DomainError(f"radius r0={r0} outside [0, {n}]")
-    shifted = translate_bits(family.bits, x, n)
-    ball_hits = (shifted & _ball_bits(n, r0)).bit_count()
-    sphere_hits = (shifted & _layer_bits(n, r0)).bit_count()
-    return ball_hits, sphere_hits
-
-
-def _select_bit(bits: int, n: int, j: int) -> int:
-    return Family(n, bits).select(j)
+    return _peel_step(family.bits, x, n, r0)[2:]
 
 
 def _sparse_census_limit(n: int) -> int:
@@ -162,7 +162,7 @@ def _choose_center(
     r0: int,
     samples: int,
     rng: random.Random,
-) -> Tuple[int, int, int]:
+) -> int:
     """Argmin of sphere/ball over sampled centers plus one member of F.
 
     Candidates whose ball misses F entirely rank last so the returned
@@ -176,7 +176,7 @@ def _choose_center(
         members = list(Family(n, alive))
     pool = [rng.getrandbits(n) for _ in range(samples)]
     if members is None:
-        pool.append(_select_bit(alive, n, rng.randrange(alive_count)))
+        pool.append(Family(n, alive).select(rng.randrange(alive_count)))
     else:
         pool.append(members[rng.randrange(alive_count)])
     best = None
@@ -194,10 +194,9 @@ def _choose_center(
                     if d == r0:
                         s += 1
         key = (b == 0, Fraction(s, b if b else 1), x)
-        if best is None or key < best[0]:
-            best = (key, x, b, s)
-    _, x, b, s = best
-    return x, b, s
+        if best is None or key < best:
+            best = key
+    return best[2]
 
 
 def choose_center(
@@ -208,18 +207,24 @@ def choose_center(
         raise DomainError("cannot choose a center for the empty family")
     if rng is None:
         rng = random.Random(cfg.seed)
-    x, _, _ = _choose_center(
+    return _choose_center(
         family.bits, family.size, family.n, r0, cfg.samples, rng
     )
-    return x
+
+
+def _peel_step(alive: int, x: int, n: int, r0: int) -> Tuple[int, ...]:
+    """Remove the radius-r0 ball around x from the alive set.
+
+    Returns (alive minus the ball, sphere ∩ alive, |ball ∩ alive|,
+    |sphere ∩ alive|).  The peel and the audit both call this.
+    """
+    ball = translate_bits(_ball_bits(n, r0), x, n) & alive
+    sphere = translate_bits(_layer_bits(n, r0), x, n) & alive
+    return alive ^ ball, sphere, ball.bit_count(), sphere.bit_count()
 
 
 def _max_component_via_bfs(bits: int, n: int) -> int:
-    best = 0
-    for comp in _component_index_lists(bits, n):
-        if len(comp) > best:
-            best = len(comp)
-    return best
+    return max(map(len, _component_index_lists(bits, n)), default=0)
 
 
 def peel(n: int, cfg: PeelConfig = PeelConfig()) -> IntegrityCertificate:
@@ -235,62 +240,47 @@ def peel(n: int, cfg: PeelConfig = PeelConfig()) -> IntegrityCertificate:
         raise DomainError(f"n={n} is over the dimension cap {max_dim()}")
     params = solve_radius(n)
     r0 = params.r0
-    ball0 = _ball_bits(n, r0)
-    sphere0 = _layer_bits(n, r0)
     rng = random.Random(cfg.seed)
-    alive = (1 << (1 << n)) - 1
+    alive = full = (1 << (1 << n)) - 1
     alive_count = 1 << n
     sep = 0
     steps: List[PeelStep] = []
     while alive:
-        x, ball_hits, sphere_hits = _choose_center(
-            alive, alive_count, n, r0, cfg.samples, rng
-        )
-        sep |= translate_bits(sphere0, x, n) & alive
-        alive &= ~translate_bits(ball0, x, n)
+        x = _choose_center(alive, alive_count, n, r0, cfg.samples, rng)
+        alive, sphere, ball_hits, sphere_hits = _peel_step(alive, x, n, r0)
+        sep |= sphere
         alive_count -= ball_hits
-        steps.append(
-            PeelStep(
-                index=len(steps),
-                center=x,
-                ball_hits=ball_hits,
-                sphere_hits=sphere_hits,
-                candidates_sampled=cfg.samples + 1,
-            )
-        )
+        steps.append(PeelStep(len(steps), x, ball_hits, sphere_hits))
     separator = Family(n, sep)
-    leftover = sep ^ ((1 << (1 << n)) - 1)
-    max_comp = _max_component_via_bfs(leftover, n)
+    max_comp = _max_component_via_bfs(sep ^ full, n)
     return IntegrityCertificate(
-        params=params,
-        config=cfg,
-        steps=tuple(steps),
-        separator=separator,
-        separator_size=separator.size,
-        max_component=max_comp,
-        value=separator.size + max_comp,
+        params, cfg, tuple(steps), separator, separator.size + max_comp
     )
 
 
 def verify_certificate(cert: IntegrityCertificate) -> int:
-    """Re-derive the certificate's claims from scratch.
+    """Replay the peel transcript from the full cube; return the value.
 
-    Recomputes the components left by the separator, checks the size cap
-    and per-component ball containment against the recorded centers, and
-    cross-checks every count in the transcript.  Raises VerificationError
-    naming the first offender; returns the audited value.
+    After the radius check, an O(steps) pre-filter on the recorded counts
+    bounds the replay before any big-integer work.  The replay re-runs
+    each step with the peel's own step function: the recomputed counts
+    must equal the recorded ones, and the rebuilt separator must equal
+    the stored one bit for bit.  That puts every component of Q_n minus
+    the separator inside one recorded ball, so only the largest one is
+    recomputed (by BFS) and checked against the C(n,<=r0) cap and the
+    claimed value.  Raises VerificationError naming the first offender.
     """
     n = cert.n
     params = cert.params
+    r0 = params.r0
     target = math.sqrt(math.log(n)) / math.sqrt(n)
     if abs(_radius_gap(params.alpha, target)) > 1e-9:
         raise VerificationError(
             f"alpha={params.alpha!r} does not solve the radius equation"
         )
-    if params.r0 != max(0, math.floor(n / 2 - params.alpha * math.sqrt(n))):
-        raise VerificationError(f"r0={params.r0} contradicts alpha")
+    if r0 != max(0, math.floor(n / 2 - params.alpha * math.sqrt(n))):
+        raise VerificationError(f"r0={r0} contradicts alpha")
     ball_total = 0
-    sphere_total = 0
     for i, step in enumerate(cert.steps):
         if step.index != i:
             raise VerificationError(f"step {i} is out of order")
@@ -301,54 +291,43 @@ def verify_certificate(cert: IntegrityCertificate) -> int:
         if step.sphere_hits > step.ball_hits:
             raise VerificationError(f"step {i} sphere exceeds its ball")
         ball_total += step.ball_hits
-        sphere_total += step.sphere_hits
     if ball_total != 1 << n:
         raise VerificationError(
             f"ball removals sum to {ball_total}, expected 2^{n}"
         )
-    sep = cert.separator
-    if sep.n != n:
+    if cert.separator.n != n:
         raise VerificationError("separator dimension mismatch")
-    if sep.size != cert.separator_size:
-        raise VerificationError(
-            f"separator holds {sep.size} vertices, header claims "
-            f"{cert.separator_size}"
+    alive = full = (1 << (1 << n)) - 1
+    sep = 0
+    for i, step in enumerate(cert.steps):
+        alive, sphere, ball_hits, sphere_hits = _peel_step(
+            alive, step.center, n, r0
         )
-    if sep.size != sphere_total:
+        if (ball_hits, sphere_hits) != (step.ball_hits, step.sphere_hits):
+            raise VerificationError(
+                f"step {i} replays as ball {ball_hits}, sphere "
+                f"{sphere_hits}; recorded {step.ball_hits}, {step.sphere_hits}"
+            )
+        sep |= sphere
+    if alive:
+        raise VerificationError("vertices survive the last step")
+    if sep != cert.separator.bits:
         raise VerificationError(
-            f"separator holds {sep.size} vertices but the steps charged "
-            f"{sphere_total} sphere hits"
+            f"separator differs from the replayed sphere charges in "
+            f"{(sep ^ cert.separator.bits).bit_count()} vertices"
         )
-    cap = binom_leq(n, params.r0)
-    centers = [s.center for s in cert.steps]
-    leftover = sep.bits ^ ((1 << (1 << n)) - 1)
-    max_comp = 0
-    for comp in _component_index_lists(leftover, n):
-        if len(comp) > max_comp:
-            max_comp = len(comp)
-        if len(comp) > cap:
-            raise VerificationError(
-                f"component seeded at {format_mask(comp[0], n)} has "
-                f"{len(comp)} vertices, over the C(n,<=r0) cap {cap}"
-            )
-        rep = comp[0]
-        contained = False
-        for c in centers:
-            if hamming(rep, c) > params.r0:
-                continue
-            if all(hamming(v, c) <= params.r0 for v in comp):
-                contained = True
-                break
-        if not contained:
-            raise VerificationError(
-                f"component seeded at {format_mask(rep, n)} fits no "
-                f"recorded center's radius-{params.r0} ball"
-            )
-    audited = sep.size + max_comp
-    if max_comp != cert.max_component or audited != cert.value:
+    max_comp = _max_component_via_bfs(sep ^ full, n)
+    cap = binom_leq(n, r0)
+    if max_comp > cap:
         raise VerificationError(
-            f"audited value {audited} (separator {sep.size} + component "
-            f"{max_comp}) contradicts the claimed {cert.value}"
+            f"largest component has {max_comp} vertices, over the "
+            f"C(n,<=r0) cap {cap}"
+        )
+    audited = cert.separator.size + max_comp
+    if audited != cert.value:
+        raise VerificationError(
+            f"audited value {audited} (separator {cert.separator.size} + "
+            f"component {max_comp}) contradicts the claimed {cert.value}"
         )
     return audited
 
@@ -499,7 +478,11 @@ def certificate_from_text(text: str) -> IntegrityCertificate:
         samples = int(head["T"])
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad header: {exc}", lineno=1) from None
-    target = math.sqrt(math.log(n)) / math.sqrt(n) if n >= 3 else math.inf
+    if not 3 <= n <= max_dim():
+        raise ParseError(f"n={n} outside [3, {max_dim()}]", lineno=1)
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ParseError(f"alpha={alpha!r} is not a positive number", lineno=1)
+    target = math.sqrt(math.log(n)) / math.sqrt(n)
     params = RadiusParams(
         n=n, alpha=alpha, r0=r0, residual=abs(_radius_gap(alpha, target))
     )
@@ -529,32 +512,16 @@ def certificate_from_text(text: str) -> IntegrityCertificate:
         if sep_bits is not None:
             raise ParseError("step line after separator", lineno=lineno)
         try:
-            idx = int(parts[0])
+            idx, ball_hits, sphere_hits = (int(parts[i]) for i in (0, 2, 3))
             center = parse_mask(parts[1], n)
-            ball_hits = int(parts[2])
-            sphere_hits = int(parts[3])
         except (ValueError, DomainError) as exc:
             raise ParseError(str(exc), lineno=lineno) from None
-        steps.append(
-            PeelStep(
-                index=idx,
-                center=center,
-                ball_hits=ball_hits,
-                sphere_hits=sphere_hits,
-                candidates_sampled=samples + 1,
-            )
-        )
+        steps.append(PeelStep(idx, center, ball_hits, sphere_hits))
     if sep_bits is None or value is None:
         raise ParseError(
             "certificate truncated: missing separator or value", lineno=lineno
         )
-    separator = Family(n, sep_bits)
+    config = PeelConfig(samples=samples, seed=seed)
     return IntegrityCertificate(
-        params=params,
-        config=PeelConfig(samples=samples, seed=seed),
-        steps=tuple(steps),
-        separator=separator,
-        separator_size=separator.size,
-        max_component=value - separator.size,
-        value=value,
+        params, config, tuple(steps), Family(n, sep_bits), value
     )

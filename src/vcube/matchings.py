@@ -8,6 +8,7 @@ choice construction that yields an exactly countable sub-collection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -243,8 +244,6 @@ class CoordinateSplit:
 
 def count_choice_matchings(split: CoordinateSplit) -> int:
     """Exact count: |A| ** C(|B|, k)."""
-    import math
-
     return split.a_size ** math.comb(split.n - split.a_size, split.k)
 
 

@@ -1,9 +1,12 @@
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from vcube import Family, family_to_text
+from vcube import Family, certificate_to_text, family_to_text, peel
 from vcube.cli import main
 
 
@@ -73,6 +76,16 @@ class TestCountCommand:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("kind,k_or_m", [("m", "11"), ("conn", "1")])
+    def test_budget_refuses_before_any_work(self, capsys, kind, k_or_m):
+        # C(2^22, C(22,<=11)) and the 2^22-vertex neighbour tables are both
+        # far too slow or too big to build before checking the budget
+        t0 = time.perf_counter()
+        code, _, err = run_cli(capsys, "count", kind, "22", k_or_m)
+        assert code == 3
+        assert "budget" in err
+        assert time.perf_counter() - t0 < 2.0
+
     def test_csv_row_written(self, capsys, tmp_path):
         path = tmp_path / "counts.csv"
         run_cli(capsys, "count", "m", "2", "1", "--csv", str(path))
@@ -106,6 +119,43 @@ class TestInjectCommand:
         assert kv(out)["matchings"] == "10"
 
 
+def _step_rows(lines):
+    return [i for i, ln in enumerate(lines) if len(ln.split()) == 4]
+
+
+def _clear_separator_bit(lines):
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("separator="))
+    digits = lines[i][len("separator=") :]
+    bits = int(digits, 16)
+    lines[i] = f"separator={bits ^ (bits & -bits):0{len(digits)}x}"
+
+
+def _swap_counts(lines):
+    # the sums stay right; only a replay sees the counts at the wrong step
+    i, *rest = _step_rows(lines)
+    a = lines[i].split()
+    j = next(j for j in rest if lines[j].split()[2:] != a[2:])
+    b = lines[j].split()
+    a[2:], b[2:] = b[2:], a[2:]
+    lines[i], lines[j] = " ".join(a), " ".join(b)
+
+
+def _move_center(lines):
+    i = next(i for i in _step_rows(lines) if int(lines[i].split()[2]) > 1)
+    idx, center, ball, sphere = lines[i].split()
+    center = center[:-1] + ("1" if center[-1] == "0" else "0")
+    lines[i] = " ".join((idx, center, ball, sphere))
+
+
+_CERT6 = certificate_to_text(peel(6))
+
+_MUTANT_TOKENS = st.one_of(
+    st.sampled_from(["0", "-1", "2", "3", "nan", "inf", "-0.0", "1e999", ""]),
+    st.integers(-(1 << 70), 1 << 70).map(str),
+    st.text(alphabet="01x=-.+afin", max_size=12),
+)
+
+
 class TestPeelVerify:
     def test_roundtrip(self, capsys, tmp_path):
         cert = tmp_path / "cert.txt"
@@ -128,20 +178,58 @@ class TestPeelVerify:
         code, _, err = run_cli(capsys, "verify", str(cert))
         assert code == 2
 
-    def test_tampered_certificate_exits_4(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "tamper", [_clear_separator_bit, _swap_counts, _move_center],
+        ids=lambda f: f.__name__.lstrip("_"),
+    )
+    def test_tampered_certificate_exits_4(self, capsys, tmp_path, tamper):
         cert = tmp_path / "cert.txt"
         run_cli(capsys, "peel", "6", "--out", str(cert))
         lines = cert.read_text().splitlines()
-        sep = next(l for l in lines if l.startswith("separator="))
-        bits = int(sep[len("separator=") :], 16)
-        drop = bits & -bits
-        fixed = f"separator={bits ^ drop:0{len(sep) - len('separator=')}x}"
-        cert.write_text(
-            "\n".join(fixed if l is sep else l for l in lines) + "\n"
-        )
+        tamper(lines)
+        cert.write_text("\n".join(lines) + "\n")
         code, _, err = run_cli(capsys, "verify", str(cert))
         assert code == 4
         assert "sphere" in err or "value" in err
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "n=0 alpha=0.5 r0=0 seed=0 T=1",
+            "n=2 alpha=0.5 r0=0 seed=0 T=1",
+            "n=8 alpha=nan r0=0 seed=0 T=1",
+        ],
+        ids=["n0", "n2", "alpha_nan"],
+    )
+    def test_bad_header_exits_2(self, capsys, tmp_path, header):
+        cert = tmp_path / "cert.txt"
+        cert.write_text(f"{header}\nseparator=0\nvalue=1\n")
+        code, _, err = run_cli(capsys, "verify", str(cert))
+        assert code == 2
+        assert "line 1" in err
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_one_token_mutation_never_crashes(self, capsys, tmp_path, data):
+        lines = [ln.split() for ln in _CERT6.splitlines()]
+        row = data.draw(st.integers(0, len(lines) - 1))
+        col = data.draw(st.integers(0, len(lines[row]) - 1))
+        token = data.draw(_MUTANT_TOKENS)
+        key, eq, _ = lines[row][col].partition("=")
+        if eq and data.draw(st.booleans()):
+            token = f"{key}={token}"
+        lines[row][col] = token
+        cert = tmp_path / "cert.txt"
+        # a new file each time: rewriting one in place makes some file
+        # systems flush it on close, which costs more than the audit
+        cert.unlink(missing_ok=True)
+        cert.write_text("\n".join(" ".join(ln) for ln in lines) + "\n")
+        code, _, _ = run_cli(capsys, "verify", str(cert))
+        assert code in (0, 2, 4)
 
     def test_same_seed_same_stdout(self, capsys):
         code1, out1, _ = run_cli(capsys, "peel", "7", "--seed", "3")
