@@ -132,6 +132,7 @@ def cmd_count(args, out):
         examined = value
     else:
         budget = args.budget or counting.DEFAULT_CONN_BUDGET
+        cube._check_dim(n, allow_zero=True)  # before 1 << n
         if not 0 <= x <= (1 << n):
             raise DomainError(f"need 0 <= m <= 2^n, got n={n} m={x}")
         profile = counting.conn_profile(n, budget=budget, progress=progress)
@@ -361,9 +362,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
-    if args.max_n is not None:
-        cube.set_max_dim(args.max_n)
+    cap = cube.max_dim()
     try:
+        if args.max_n is not None:
+            cube.set_max_dim(args.max_n)
         return args.handler(args, sys.stdout)
     except ParseError as exc:
         print(f"vcube: parse error: {exc}", file=sys.stderr)
@@ -380,6 +382,8 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"vcube: solver failure: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        cube.set_max_dim(cap)
 
 
 if __name__ == "__main__":

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, List, Optional
 
 from . import vc
-from .cube import Family, binom_leq
+from .cube import Family, _check_dim, _gosper, binom_leq
 from .errors import BudgetError, DomainError
 from .matchings import enumerate_induced_matchings
 
@@ -22,24 +22,6 @@ DEFAULT_CONN_BUDGET = 10**7
 PROGRESS_STRIDE = 10**6
 
 Progress = Optional[Callable[[int], None]]
-
-
-def _gosper(width: int, k: int) -> Iterator[int]:
-    """All width-bit integers with exactly k set bits, increasing.
-
-    Numeric order on characteristic masks is colex order on the subsets,
-    so progress is reproducible.
-    """
-    if k == 0:
-        yield 0
-        return
-    limit = 1 << width
-    v = (1 << k) - 1
-    while v < limit:
-        yield v
-        c = v & -v
-        r = v + c
-        v = r | ((v ^ r) >> (c.bit_length() + 1))
 
 
 def m_candidate_count(n: int, k: int) -> int:
@@ -136,6 +118,7 @@ def conn_profile(
     vertex with an exclusive-neighborhood rule, visiting every connected
     vertex set exactly once; `budget` caps the number of visited sets.
     """
+    _check_dim(n, allow_zero=True)
     size = 1 << n
     # vertices and edges alone are connected sets: refuse before the tables
     floor = size + n * size // 2
@@ -177,6 +160,7 @@ def exact_conn(
     n: int, m: int, budget: int = DEFAULT_CONN_BUDGET, progress: Progress = None
 ) -> int:
     """Count connected induced subgraphs of Q_n on exactly m vertices."""
+    _check_dim(n, allow_zero=True)
     if not 0 <= m <= (1 << n):
         raise DomainError(f"need 0 <= m <= 2^n, got n={n} m={m}")
     return conn_profile(n, budget=budget, progress=progress)[m]

@@ -12,9 +12,9 @@ vertex prints as an n-character bitstring with element n leftmost
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, deque
+from collections import deque
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from .errors import DomainError, ParseError
 
@@ -58,10 +58,6 @@ def _check_mask(x: int, n: int) -> None:
 
 def _byte_len(n: int) -> int:
     return ((1 << n) + 7) >> 3
-
-
-def popcount(x: int) -> int:
-    return x.bit_count()
 
 
 def hamming(x: int, y: int) -> int:
@@ -142,6 +138,24 @@ def subcube_bits(x: int, n: int) -> int:
         x >>= 1
         i += 1
     return bits
+
+
+def _gosper(width: int, k: int) -> Iterator[int]:
+    """All width-bit integers with exactly k set bits, increasing.
+
+    Numeric order on characteristic masks is colex order on the subsets,
+    so progress is reproducible.
+    """
+    if k == 0:
+        yield 0
+        return
+    limit = 1 << width
+    v = (1 << k) - 1
+    while v < limit:
+        yield v
+        c = v & -v
+        r = v + c
+        v = r | ((v ^ r) >> (c.bit_length() + 1))
 
 
 class Family:
@@ -275,14 +289,9 @@ class Family:
 # Layers, balls, spheres.
 # ---------------------------------------------------------------------------
 
-_layer_cache: "OrderedDict[int, Tuple[List[int], List[int]]]" = OrderedDict()
-
-
+@lru_cache(maxsize=3)
 def _layer_tables(n: int) -> Tuple[List[int], List[int]]:
     """Per-popcount layer masks and their prefix unions (balls around 0)."""
-    if n in _layer_cache:
-        _layer_cache.move_to_end(n)
-        return _layer_cache[n]
     layers = [1]
     for i in range(n):
         shift = 1 << i
@@ -296,9 +305,6 @@ def _layer_tables(n: int) -> Tuple[List[int], List[int]]:
     for mask in layers:
         acc |= mask
         balls.append(acc)
-    _layer_cache[n] = (layers, balls)
-    while len(_layer_cache) > 3:
-        _layer_cache.popitem(last=False)
     return layers, balls
 
 
@@ -456,9 +462,51 @@ def log_binom_leq(n: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 # Textual serialization.
 #
+# Every file vcube reads opens with a one-line header of "key=value"
+# tokens; `read_header` owns that grammar and the dimension check.
 # Families: header "n=<n>", then either one member bitstring per line or a
 # single "hex=<digits>" line carrying the characteristic vector.
 # ---------------------------------------------------------------------------
+
+
+def read_header(
+    text: str, **fields: Callable[[str], object]
+) -> Tuple[Dict[str, object], List[Tuple[int, str]]]:
+    """Split a file into its header fields and its numbered body lines.
+
+    Line 1 holds whitespace-separated "key=value" tokens: "n" and each key
+    of `fields`, every one exactly once, in any order.  "n" is an int in
+    [1, max_dim()]; every other value goes through its converter.  Body
+    lines come back stripped and numbered from 2, blank ones dropped.  A
+    missing, repeated, unknown or unconvertible key raises ParseError at
+    line 1.
+    """
+    fields = {"n": int, **fields}
+    lines = text.splitlines()
+    head: Dict[str, object] = {}
+    for tok in lines[0].split() if lines else ():
+        key, eq, val = tok.partition("=")
+        if not eq or key not in fields or key in head:
+            raise ParseError(f"unexpected header token {tok!r}", lineno=1)
+        try:
+            head[key] = fields[key](val)
+        except ValueError:
+            raise ParseError(f"bad header value {tok!r}", lineno=1) from None
+    if len(head) != len(fields):
+        form = " ".join(f"{key}=<{key}>" for key in fields)
+        raise ParseError(f"expected header {form!r}", lineno=1)
+    if not 1 <= head["n"] <= _max_dim:
+        raise ParseError(f"n={head['n']} outside [1, {_max_dim}]", lineno=1)
+    body = [(no, ln.strip()) for no, ln in enumerate(lines[1:], start=2)]
+    return head, [(no, ln) for no, ln in body if ln]
+
+
+def _hex_family(digits: str, n: int, lineno: int) -> Family:
+    """A family from a hex characteristic vector on body line `lineno`."""
+    try:
+        return Family(n, int(digits, 16))
+    except ValueError as exc:  # bad digits, or a DomainError: too wide
+        raise ParseError(str(exc), lineno=lineno) from None
 
 
 def family_to_text(family: Family, style: str = "bits") -> str:
@@ -473,25 +521,11 @@ def family_to_text(family: Family, style: str = "bits") -> str:
 
 
 def family_from_text(text: str) -> Family:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("n="):
-        raise ParseError("missing 'n=<n>' header", lineno=1)
-    try:
-        n = int(lines[0][2:])
-    except ValueError:
-        raise ParseError(f"bad dimension {lines[0][2:]!r}", lineno=1) from None
-    _check_dim(n)
-    body = [(i + 2, ln.strip()) for i, ln in enumerate(lines[1:])]
-    body = [(no, ln) for no, ln in body if ln]
+    head, body = read_header(text)
+    n = head["n"]
     if len(body) == 1 and body[0][1].startswith("hex="):
         no, ln = body[0]
-        try:
-            bits = int(ln[4:], 16)
-        except ValueError:
-            raise ParseError("bad hex characteristic vector", lineno=no) from None
-        if bits.bit_length() > (1 << n):
-            raise ParseError(f"vector wider than 2^{n} bits", lineno=no)
-        return Family(n, bits)
+        return _hex_family(ln[len("hex=") :], n, no)
     masks = []
     for no, ln in body:
         try:

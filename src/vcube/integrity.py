@@ -24,6 +24,8 @@ from .cube import (
     _ball_bits,
     _byte_len,
     _component_index_lists,
+    _gosper,
+    _hex_family,
     _layer_bits,
     binom_leq,
     flood_component_sizes,
@@ -33,6 +35,7 @@ from .cube import (
     log_binom_leq,
     max_dim,
     parse_mask,
+    read_header,
     translate_bits,
 )
 from .errors import (
@@ -356,20 +359,8 @@ def exact_integrity(n: int) -> int:
     for s in range(size):
         if s + 1 >= best:
             break
-        k_bits = (1 << s) - 1
-        limit = 1 << size
-        v = k_bits
-        while v < limit:
-            alive = full ^ v
-            comp_sizes = flood_component_sizes(alive, n)
-            val = s + max(comp_sizes)
-            if val < best:
-                best = val
-            if s == 0:
-                break
-            c = v & -v
-            r = v + c
-            v = r | ((v ^ r) >> (c.bit_length() + 1))
+        for v in _gosper(size, s):
+            best = min(best, s + max(flood_component_sizes(full ^ v, n)))
     return best
 
 
@@ -461,25 +452,10 @@ def certificate_to_text(cert: IntegrityCertificate) -> str:
 
 
 def certificate_from_text(text: str) -> IntegrityCertificate:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty certificate", lineno=1)
-    head = dict()
-    for tok in lines[0].split():
-        if "=" not in tok:
-            raise ParseError(f"bad header token {tok!r}", lineno=1)
-        key, val = tok.split("=", 1)
-        head[key] = val
-    try:
-        n = int(head["n"])
-        alpha = float(head["alpha"])
-        r0 = int(head["r0"])
-        seed = int(head["seed"])
-        samples = int(head["T"])
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad header: {exc}", lineno=1) from None
-    if not 3 <= n <= max_dim():
-        raise ParseError(f"n={n} outside [3, {max_dim()}]", lineno=1)
+    head, body = read_header(text, alpha=float, r0=int, seed=int, T=int)
+    n, alpha, r0 = head["n"], head["alpha"], head["r0"]
+    if n < 3:
+        raise ParseError(f"n={n} is below 3", lineno=1)
     if not (math.isfinite(alpha) and alpha > 0):
         raise ParseError(f"alpha={alpha!r} is not a positive number", lineno=1)
     target = math.sqrt(math.log(n)) / math.sqrt(n)
@@ -487,18 +463,12 @@ def certificate_from_text(text: str) -> IntegrityCertificate:
         n=n, alpha=alpha, r0=r0, residual=abs(_radius_gap(alpha, target))
     )
     steps = []
-    sep_bits = None
+    separator = None
     value = None
     lineno = 1
-    for lineno, ln in enumerate(lines[1:], start=2):
-        ln = ln.strip()
-        if not ln:
-            continue
+    for lineno, ln in body:
         if ln.startswith("separator="):
-            try:
-                sep_bits = int(ln[len("separator=") :], 16)
-            except ValueError:
-                raise ParseError("bad separator hex", lineno=lineno) from None
+            separator = _hex_family(ln[len("separator=") :], n, lineno)
             continue
         if ln.startswith("value="):
             try:
@@ -509,7 +479,7 @@ def certificate_from_text(text: str) -> IntegrityCertificate:
         parts = ln.split()
         if len(parts) != 4:
             raise ParseError("expected 'i center ball sphere'", lineno=lineno)
-        if sep_bits is not None:
+        if separator is not None:
             raise ParseError("step line after separator", lineno=lineno)
         try:
             idx, ball_hits, sphere_hits = (int(parts[i]) for i in (0, 2, 3))
@@ -517,11 +487,9 @@ def certificate_from_text(text: str) -> IntegrityCertificate:
         except (ValueError, DomainError) as exc:
             raise ParseError(str(exc), lineno=lineno) from None
         steps.append(PeelStep(idx, center, ball_hits, sphere_hits))
-    if sep_bits is None or value is None:
+    if separator is None or value is None:
         raise ParseError(
             "certificate truncated: missing separator or value", lineno=lineno
         )
-    config = PeelConfig(samples=samples, seed=seed)
-    return IntegrityCertificate(
-        params, config, tuple(steps), Family(n, sep_bits), value
-    )
+    config = PeelConfig(samples=head["T"], seed=head["seed"])
+    return IntegrityCertificate(params, config, tuple(steps), separator, value)

@@ -14,7 +14,14 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, List, Optional, Tuple
 
-from .cube import Family, _ball_bits, _layer_bits, format_mask, parse_mask
+from .cube import (
+    Family,
+    _ball_bits,
+    _layer_bits,
+    format_mask,
+    parse_mask,
+    read_header,
+)
 from .errors import BudgetError, DomainError, NotInImageError, ParseError
 
 # Exhaustive enumeration is intended for tiny instances; the number of
@@ -274,22 +281,10 @@ def matching_to_text(m: InducedMatching) -> str:
 
 
 def matching_from_text(text: str) -> InducedMatching:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty matching file", lineno=1)
-    head = lines[0].split()
-    if len(head) != 2 or not head[0].startswith("n=") or not head[1].startswith("k="):
-        raise ParseError("expected header 'n=<n> k=<k>'", lineno=1)
-    try:
-        n = int(head[0][2:])
-        k = int(head[1][2:])
-    except ValueError:
-        raise ParseError("bad header numbers", lineno=1) from None
+    head, body = read_header(text, k=int)
+    n = head["n"]
     edges = []
-    for no, ln in enumerate(lines[1:], start=2):
-        ln = ln.strip()
-        if not ln:
-            continue
+    for no, ln in body:
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError("expected 'lower upper' bitstrings", lineno=no)
@@ -297,4 +292,4 @@ def matching_from_text(text: str) -> InducedMatching:
             edges.append((parse_mask(parts[0], n), parse_mask(parts[1], n)))
         except DomainError as exc:
             raise ParseError(str(exc), lineno=no) from None
-    return InducedMatching(n, k, tuple(edges))
+    return InducedMatching(n, head["k"], tuple(edges))

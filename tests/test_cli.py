@@ -6,7 +6,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vcube import Family, certificate_to_text, family_to_text, peel
+from vcube import (
+    DEFAULT_MAX_DIM,
+    Family,
+    InducedMatching,
+    certificate_to_text,
+    family_to_text,
+    layer,
+    matching_to_text,
+    max_dim,
+    peel,
+)
 from vcube.cli import main
 
 
@@ -75,6 +85,13 @@ class TestCountCommand:
         code, _, err = run_cli(capsys, "count", "m", "6", "2")
         assert code == 3
         assert "budget" in err
+
+    def test_conn_negative_n_exits_2(self, capsys):
+        t0 = time.perf_counter()
+        code, _, err = run_cli(capsys, "count", "conn", "-1", "0")
+        assert code == 2
+        assert "n=-1" in err
+        assert time.perf_counter() - t0 < 2.0
 
     @pytest.mark.parametrize("kind,k_or_m", [("m", "11"), ("conn", "1")])
     def test_budget_refuses_before_any_work(self, capsys, kind, k_or_m):
@@ -147,7 +164,17 @@ def _move_center(lines):
     lines[i] = " ".join((idx, center, ball, sphere))
 
 
-_CERT6 = certificate_to_text(peel(6))
+# One small file of each kind vcube reads, with the command that reads
+# it ("{}" is the file's path).  The family and matching bodies pin n:
+# changing the header's n makes every body line the wrong width.
+_READ_TARGETS = [
+    (family_to_text(layer(6, 2)), ["vc", "{}"]),
+    (
+        matching_to_text(InducedMatching(4, 1, ((1, 3), (4, 6), (8, 10)))),
+        ["inject", "4", "1", "--matchings", "{}"],
+    ),
+    (certificate_to_text(peel(6)), ["verify", "{}"]),
+]
 
 _MUTANT_TOKENS = st.one_of(
     st.sampled_from(["0", "-1", "2", "3", "nan", "inf", "-0.0", "1e999", ""]),
@@ -209,13 +236,14 @@ class TestPeelVerify:
         assert "line 1" in err
 
     @settings(
-        max_examples=300,
+        max_examples=600,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(data=st.data())
     def test_one_token_mutation_never_crashes(self, capsys, tmp_path, data):
-        lines = [ln.split() for ln in _CERT6.splitlines()]
+        text, argv = data.draw(st.sampled_from(_READ_TARGETS))
+        lines = [ln.split() for ln in text.splitlines()]
         row = data.draw(st.integers(0, len(lines) - 1))
         col = data.draw(st.integers(0, len(lines[row]) - 1))
         token = data.draw(_MUTANT_TOKENS)
@@ -223,13 +251,13 @@ class TestPeelVerify:
         if eq and data.draw(st.booleans()):
             token = f"{key}={token}"
         lines[row][col] = token
-        cert = tmp_path / "cert.txt"
+        path = tmp_path / "input.txt"
         # a new file each time: rewriting one in place makes some file
         # systems flush it on close, which costs more than the audit
-        cert.unlink(missing_ok=True)
-        cert.write_text("\n".join(" ".join(ln) for ln in lines) + "\n")
-        code, _, _ = run_cli(capsys, "verify", str(cert))
-        assert code in (0, 2, 4)
+        path.unlink(missing_ok=True)
+        path.write_text("\n".join(" ".join(ln) for ln in lines) + "\n")
+        code, _, _ = run_cli(capsys, *(a.format(path) for a in argv))
+        assert code in (0, 2, 3, 4)
 
     def test_same_seed_same_stdout(self, capsys):
         code1, out1, _ = run_cli(capsys, "peel", "7", "--seed", "3")
@@ -308,3 +336,17 @@ class TestUsageErrors:
             assert "cap" in err
         finally:
             cube.set_max_dim(before)
+
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (["--max-n", "0", "count", "m", "2", "1"], 2),
+            (["--max-n", "6", "peel", "8"], 2),
+            (["--max-n", "6", "count", "m", "2", "1"], 0),
+        ],
+        ids=["zero", "refused", "ok"],
+    )
+    def test_max_n_is_scoped_to_the_call(self, capsys, argv, want):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == want
+        assert max_dim() == DEFAULT_MAX_DIM

@@ -14,6 +14,7 @@ from vcube import (
     ParseError,
     ball,
     binom_leq,
+    certificate_from_text,
     components,
     family_from_text,
     family_to_text,
@@ -23,6 +24,7 @@ from vcube import (
     log_binom,
     log_binom_leq,
     mask_from_elements,
+    matching_from_text,
     parse_mask,
     sphere,
     subcube_bits,
@@ -279,6 +281,34 @@ class TestSerialization:
             family_from_text("n=3\n101\n10\n")
         with pytest.raises(ParseError, match="line 2"):
             family_from_text("n=2\nhex=zz\n")
+        with pytest.raises(ParseError, match="line 2"):
+            family_from_text("n=2\nhex=1f\n")
+
+
+# Every reader shares one header grammar: each key exactly once, and n
+# within [1, max_dim()].
+_HEADERS = {
+    family_from_text: "n=3",
+    matching_from_text: "n=3 k=1",
+    certificate_from_text: "n=8 alpha=0.5 r0=1 seed=0 T=1",
+}
+
+_HEADER_DEFECTS = {
+    "missing": lambda toks: toks[:-1],
+    "repeated": lambda toks: toks + toks[:1],
+    "unknown": lambda toks: toks + ["z=1"],
+    "bare": lambda toks: toks + ["z"],
+    "bad_value": lambda toks: ["n=x"] + toks[1:],
+    "over_cap": lambda toks: ["n=29"] + toks[1:],
+}
+
+
+@pytest.mark.parametrize("defect", list(_HEADER_DEFECTS))
+@pytest.mark.parametrize("reader", list(_HEADERS), ids=lambda f: f.__name__)
+def test_header_defects_are_parse_errors_at_line_1(reader, defect):
+    toks = _HEADER_DEFECTS[defect](_HEADERS[reader].split())
+    with pytest.raises(ParseError, match="line 1: .*(header|outside)"):
+        reader(" ".join(toks) + "\n")
 
 
 @given(

@@ -237,3 +237,9 @@ class TestSerialization:
             matching_from_text("n=3 k=1\n001\n")
         with pytest.raises(ParseError, match="line 2"):
             matching_from_text("n=3 k=1\n0011 0111\n")
+
+    def test_dimension_over_the_cap_is_a_parse_error(self):
+        # accepted, the header would have `inject` build 2^29-bit tables
+        edge = "0" * 29 + " " + "0" * 28 + "1"
+        with pytest.raises(ParseError, match="line 1"):
+            matching_from_text(f"n=29 k=0\n{edge}\n")
