@@ -119,9 +119,11 @@ def cmd_count(args, out):
     n, x = args.n, args.k_or_m
     t0 = time.perf_counter()
     progress = _progress(f"count {args.kind}")
-    budget = None
+    budget = args.budget
+    if budget is not None and (budget < 1 or args.kind in ("exvc", "indmat")):
+        raise DomainError("--budget needs m or conn and a value >= 1")
     if args.kind == "m":
-        budget = args.budget or counting.DEFAULT_FAMILY_BUDGET
+        budget = budget or counting.DEFAULT_FAMILY_BUDGET
         value = counting.exact_m(n, x, budget=budget, progress=progress)
         examined = counting.m_candidate_count(n, x)
     elif args.kind == "exvc":
@@ -131,10 +133,8 @@ def cmd_count(args, out):
         value = counting.exact_indmat(n, x, progress=progress)
         examined = value
     else:
-        budget = args.budget or counting.DEFAULT_CONN_BUDGET
-        cube._check_dim(n, allow_zero=True)  # before 1 << n
-        if not 0 <= x <= (1 << n):
-            raise DomainError(f"need 0 <= m <= 2^n, got n={n} m={x}")
+        budget = budget or counting.DEFAULT_CONN_BUDGET
+        counting.check_conn_args(n, x)
         profile = counting.conn_profile(n, budget=budget, progress=progress)
         value = profile[x]
         examined = sum(profile)

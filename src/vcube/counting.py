@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from . import vc
-from .cube import Family, _check_dim, _gosper, binom_leq
+from .cube import Family, _check_dim, _gosper, binom_leq, log_binom
 from .errors import BudgetError, DomainError
 from .matchings import enumerate_induced_matchings
 
@@ -43,7 +43,7 @@ def exact_m(
     # A log-gamma estimate refuses all but a near miss before any
     # big-integer work; its margin of e dwarfs its rounding error.
     try:
-        log_total = _log_binom_real(2.0**n, size)
+        log_total = log_binom(2.0**n, size)
     except OverflowError:  # 2^n is past float range
         log_total = math.inf
     if (
@@ -120,12 +120,11 @@ def conn_profile(
     """
     _check_dim(n, allow_zero=True)
     size = 1 << n
-    # vertices and edges alone are connected sets: refuse before the tables
-    floor = size + n * size // 2
-    if floor > budget:
+    # refuse before any work; the bound's first term is 2^(2^(n-1))
+    if size >> 1 > budget.bit_length() or conn_lower_bound(n) > budget:
         raise BudgetError(
-            f"conn_profile(n={n}) visits at least {floor} connected sets, "
-            f"over the budget of {budget}"
+            f"conn_profile(n={n}) visits more connected sets than the "
+            f"budget of {budget}"
         )
     counts = [0] * (size + 1)
     counts[0] = 1
@@ -156,13 +155,33 @@ def conn_profile(
     return counts
 
 
+def conn_lower_bound(n: int) -> int:
+    """A lower bound on the nonempty connected vertex sets of Q_n.
+
+    Removing fewer than n-1 vertices from Q_(n-1), or n-1 that are not a
+    vertex neighbourhood, leaves a connected A (those are its only cuts);
+    A plus any of its partners in the other half is connected in Q_n.
+    Never below the 2^n vertices plus n*2^(n-1) edges.
+    """
+    half = 1 << n >> 1
+    total = sum(math.comb(half, j) << (half - j) for j in range(n - 1))
+    if n:
+        total += (math.comb(half, n - 1) - half) << (half - n + 1)
+    return max(total, (n + 2) << n >> 1)
+
+
+def check_conn_args(n: int, m: int) -> None:
+    """Refuse a bad dimension, then an m outside [0, 2^n]."""
+    _check_dim(n, allow_zero=True)
+    if not 0 <= m <= (1 << n):
+        raise DomainError(f"need 0 <= m <= 2^n, got n={n} m={m}")
+
+
 def exact_conn(
     n: int, m: int, budget: int = DEFAULT_CONN_BUDGET, progress: Progress = None
 ) -> int:
     """Count connected induced subgraphs of Q_n on exactly m vertices."""
-    _check_dim(n, allow_zero=True)
-    if not 0 <= m <= (1 << n):
-        raise DomainError(f"need 0 <= m <= 2^n, got n={n} m={m}")
+    check_conn_args(n, m)
     return conn_profile(n, budget=budget, progress=progress)[m]
 
 
@@ -174,15 +193,6 @@ def exact_conn(
 # bound 2^(n+1) * (e*n) ** C(n,<=k) from above; both are evaluated as
 # natural logs, alongside the asymptotic target C(n,k) * ln n.
 # ---------------------------------------------------------------------------
-
-
-def _log_binom_real(x: float, k: int) -> float:
-    """ln C(x, k) for real upper index x >= k, via log-gamma."""
-    if k < 0 or x < k:
-        raise DomainError(f"need 0 <= k <= x, got x={x} k={k}")
-    return (
-        math.lgamma(x + 1) - math.lgamma(k + 1) - math.lgamma(x - k + 1)
-    )
 
 
 @dataclass(frozen=True)
@@ -211,7 +221,7 @@ def maximal_count_bounds(n: int, k: int, epsilon) -> BoundReport:
             f"(1-eps)*n = {(1 - eps) * n} is below k={k}; no lower bound"
         )
     try:
-        coeff = math.exp(_log_binom_real((1 - eps) * n, k))
+        coeff = math.exp(log_binom((1 - eps) * n, k))
     except OverflowError:
         coeff = math.inf
     log_lower = coeff * math.log(eps * n)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from functools import lru_cache
+from itertools import accumulate
+from operator import or_
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from .errors import DomainError, ParseError
@@ -189,8 +191,7 @@ class Family:
         _check_dim(n, allow_zero=True)
         data = bytearray(_byte_len(n))
         for m in masks:
-            if m < 0 or m >> n:
-                raise DomainError(f"mask {m:#x} does not fit dimension n={n}")
+            _check_mask(m, n)
             data[m >> 3] |= 1 << (m & 7)
         return cls(n, int.from_bytes(bytes(data), "little"))
 
@@ -300,12 +301,7 @@ def _layer_tables(n: int) -> Tuple[List[int], List[int]]:
             + [layers[k] | (layers[k - 1] << shift) for k in range(1, i + 1)]
             + [layers[i] << shift]
         )
-    balls = []
-    acc = 0
-    for mask in layers:
-        acc |= mask
-        balls.append(acc)
-    return layers, balls
+    return layers, list(accumulate(layers, or_))
 
 
 def _layer_bits(n: int, k: int) -> int:
@@ -383,14 +379,11 @@ def _component_index_lists(bits: int, n: int) -> Iterator[List[int]]:
 
 def components(family: Family) -> List[Family]:
     """Partition a family into maximal connected pieces of Q_n."""
-    out = []
-    blen = _byte_len(family.n)
-    for comp in _component_index_lists(family.bits, family.n):
-        data = bytearray(blen)
-        for v in comp:
-            data[v >> 3] |= 1 << (v & 7)
-        out.append(Family(family.n, int.from_bytes(bytes(data), "little")))
-    return out
+    n = family.n
+    return [
+        Family.from_masks(n, comp)
+        for comp in _component_index_lists(family.bits, n)
+    ]
 
 
 def _neighbor_bits(bits: int, n: int) -> int:

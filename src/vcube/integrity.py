@@ -49,14 +49,24 @@ from .errors import (
 RESIDUAL_TOL = 1e-12
 
 
+def _radius_target(n: int) -> float:
+    return math.sqrt(math.log(n)) / math.sqrt(n)
+
+
 @dataclass(frozen=True)
 class RadiusParams:
-    """Solved deletion radius for one dimension."""
+    """Solved deletion radius for one dimension; r0 derives from alpha."""
 
     n: int
     alpha: float
-    r0: int
-    residual: float
+
+    @property
+    def r0(self) -> int:
+        return max(0, math.floor(self.n / 2 - self.alpha * math.sqrt(self.n)))
+
+    @property
+    def residual(self) -> float:
+        return abs(_radius_gap(self.alpha, _radius_target(self.n)))
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,6 @@ class PeelConfig:
 
 @dataclass(frozen=True)
 class PeelStep:
-    index: int
     center: int
     ball_hits: int
     sphere_hits: int
@@ -111,7 +120,7 @@ def solve_radius(n: int) -> RadiusParams:
     """Bisect the radius equation; the gap function is strictly decreasing."""
     if n < 3:
         raise DomainError(f"radius solver needs n >= 3, got n={n}")
-    target = math.sqrt(math.log(n)) / math.sqrt(n)
+    target = _radius_target(n)
     lo, hi = 1e-6, math.sqrt(math.log(n))
     if _radius_gap(lo, target) <= 0 or _radius_gap(hi, target) >= 0:
         raise SolverError(f"no sign change on [{lo}, {hi}] for n={n}")
@@ -125,21 +134,18 @@ def solve_radius(n: int) -> RadiusParams:
             lo = alpha
         else:
             hi = alpha
-    residual = abs(_radius_gap(alpha, target))
-    if residual > RESIDUAL_TOL:
+    params = RadiusParams(n, alpha)
+    if params.residual > RESIDUAL_TOL:
         raise SolverError(
-            f"bisection stalled at residual {residual:.3e} for n={n}"
+            f"bisection stalled at residual {params.residual:.3e} for n={n}"
         )
-    r0 = math.floor(n / 2 - alpha * math.sqrt(n))
-    if r0 < 0:
-        r0 = 0
-    if r0 < 2:
+    if params.r0 < 2:
         warnings.warn(
-            f"deletion radius r0={r0} for n={n}; peeling degrades toward "
-            f"single-vertex removal",
+            f"deletion radius r0={params.r0} for n={n}; peeling degrades "
+            f"toward single-vertex removal",
             stacklevel=2,
         )
-    return RadiusParams(n=n, alpha=alpha, r0=r0, residual=residual)
+    return params
 
 
 def census(family: Family, x: int, r0: int) -> Tuple[int, int]:
@@ -253,7 +259,7 @@ def peel(n: int, cfg: PeelConfig = PeelConfig()) -> IntegrityCertificate:
         alive, sphere, ball_hits, sphere_hits = _peel_step(alive, x, n, r0)
         sep |= sphere
         alive_count -= ball_hits
-        steps.append(PeelStep(len(steps), x, ball_hits, sphere_hits))
+        steps.append(PeelStep(x, ball_hits, sphere_hits))
     separator = Family(n, sep)
     max_comp = _max_component_via_bfs(sep ^ full, n)
     return IntegrityCertificate(
@@ -264,7 +270,7 @@ def peel(n: int, cfg: PeelConfig = PeelConfig()) -> IntegrityCertificate:
 def verify_certificate(cert: IntegrityCertificate) -> int:
     """Replay the peel transcript from the full cube; return the value.
 
-    After the radius check, an O(steps) pre-filter on the recorded counts
+    After the alpha check, an O(steps) pre-filter on the recorded counts
     bounds the replay before any big-integer work.  The replay re-runs
     each step with the peel's own step function: the recomputed counts
     must equal the recorded ones, and the rebuilt separator must equal
@@ -276,23 +282,16 @@ def verify_certificate(cert: IntegrityCertificate) -> int:
     n = cert.n
     params = cert.params
     r0 = params.r0
-    target = math.sqrt(math.log(n)) / math.sqrt(n)
-    if abs(_radius_gap(params.alpha, target)) > 1e-9:
+    if params.residual > 1e-9:
         raise VerificationError(
             f"alpha={params.alpha!r} does not solve the radius equation"
         )
-    if r0 != max(0, math.floor(n / 2 - params.alpha * math.sqrt(n))):
-        raise VerificationError(f"r0={r0} contradicts alpha")
     ball_total = 0
     for i, step in enumerate(cert.steps):
-        if step.index != i:
-            raise VerificationError(f"step {i} is out of order")
         if step.center < 0 or step.center >> n:
             raise VerificationError(f"step {i} center does not fit n={n}")
         if step.ball_hits < 1:
             raise VerificationError(f"step {i} removed no vertices")
-        if step.sphere_hits > step.ball_hits:
-            raise VerificationError(f"step {i} sphere exceeds its ball")
         ball_total += step.ball_hits
     if ball_total != 1 << n:
         raise VerificationError(
@@ -428,10 +427,10 @@ def density_audit(dims: Sequence[int]) -> List[DensityRow]:
 # ---------------------------------------------------------------------------
 # Certificate serialization.
 #
-#   n=<n> alpha=<repr> r0=<r0> seed=<seed> T=<samples>
-#   <i> <center bitstring> <ball_hits> <sphere_hits>     (one per step)
-#   separator=<hex characteristic vector>
-#   value=<claimed value>
+#   n=<n> alpha=<repr> r0=<r0, as alpha gives it> seed=<seed> T=<samples>
+#   <i> <center bitstring> <ball_hits> <sphere_hits>     (i = 0, 1, ...)
+#   separator=<hex characteristic vector>                (once)
+#   value=<claimed value>                                (once, last)
 # ---------------------------------------------------------------------------
 
 
@@ -440,9 +439,9 @@ def certificate_to_text(cert: IntegrityCertificate) -> str:
         f"n={cert.n} alpha={cert.params.alpha!r} r0={cert.params.r0} "
         f"seed={cert.config.seed} T={cert.config.samples}"
     ]
-    for s in cert.steps:
+    for i, s in enumerate(cert.steps):
         lines.append(
-            f"{s.index} {format_mask(s.center, cert.n)} "
+            f"{i} {format_mask(s.center, cert.n)} "
             f"{s.ball_hits} {s.sphere_hits}"
         )
     width = max(1, _byte_len(cert.n) * 2)
@@ -453,41 +452,41 @@ def certificate_to_text(cert: IntegrityCertificate) -> str:
 
 def certificate_from_text(text: str) -> IntegrityCertificate:
     head, body = read_header(text, alpha=float, r0=int, seed=int, T=int)
-    n, alpha, r0 = head["n"], head["alpha"], head["r0"]
+    n, alpha = head["n"], head["alpha"]
     if n < 3:
         raise ParseError(f"n={n} is below 3", lineno=1)
     if not (math.isfinite(alpha) and alpha > 0):
         raise ParseError(f"alpha={alpha!r} is not a positive number", lineno=1)
-    target = math.sqrt(math.log(n)) / math.sqrt(n)
-    params = RadiusParams(
-        n=n, alpha=alpha, r0=r0, residual=abs(_radius_gap(alpha, target))
-    )
+    params = RadiusParams(n, alpha)
+    if head["r0"] != params.r0:
+        raise ParseError(f"r0 should be {params.r0} for this alpha", lineno=1)
     steps = []
-    separator = None
-    value = None
+    separator = value = None
     lineno = 1
     for lineno, ln in body:
-        if ln.startswith("separator="):
-            separator = _hex_family(ln[len("separator=") :], n, lineno)
-            continue
-        if ln.startswith("value="):
+        if separator is not None:
+            if value is not None or not ln.startswith("value="):
+                raise ParseError("value= must come once, last", lineno=lineno)
             try:
                 value = int(ln[len("value=") :])
             except ValueError:
                 raise ParseError("bad claimed value", lineno=lineno) from None
             continue
+        if ln.startswith("separator="):
+            separator = _hex_family(ln[len("separator=") :], n, lineno)
+            continue
         parts = ln.split()
         if len(parts) != 4:
             raise ParseError("expected 'i center ball sphere'", lineno=lineno)
-        if separator is not None:
-            raise ParseError("step line after separator", lineno=lineno)
         try:
             idx, ball_hits, sphere_hits = (int(parts[i]) for i in (0, 2, 3))
             center = parse_mask(parts[1], n)
         except (ValueError, DomainError) as exc:
             raise ParseError(str(exc), lineno=lineno) from None
-        steps.append(PeelStep(idx, center, ball_hits, sphere_hits))
-    if separator is None or value is None:
+        if idx != len(steps):
+            raise ParseError(f"expected step {len(steps)}", lineno=lineno)
+        steps.append(PeelStep(center, ball_hits, sphere_hits))
+    if value is None:
         raise ParseError(
             "certificate truncated: missing separator or value", lineno=lineno
         )

@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 from typing import Iterator, List, Optional, Tuple
 
 from .cube import (
@@ -40,16 +42,10 @@ class InducedMatching:
     edges: Tuple[Edge, ...]
 
     def lower_bits(self) -> int:
-        bits = 0
-        for lo, _ in self.edges:
-            bits |= 1 << lo
-        return bits
+        return reduce(or_, (1 << lo for lo, _ in self.edges), 0)
 
     def upper_bits(self) -> int:
-        bits = 0
-        for _, up in self.edges:
-            bits |= 1 << up
-        return bits
+        return reduce(or_, (1 << up for _, up in self.edges), 0)
 
 
 def validate_matching(m: InducedMatching) -> Tuple[bool, Optional[str]]:
@@ -179,14 +175,8 @@ def family_to_matching(family: Family, k: int) -> InducedMatching:
     edges = []
     uppers = Family(n, family.bits & _layer_bits(n, k + 1))
     for up in uppers:
-        missing = []
-        u = up
-        while u:
-            b = u & -u
-            lo = up ^ b
-            if lo not in family:
-                missing.append(lo)
-            u ^= b
+        subsets = (up ^ (1 << i) for i in range(n) if up >> i & 1)
+        missing = [lo for lo in subsets if lo not in family]
         if len(missing) != 1:
             raise NotInImageError(
                 f"upper set {format_mask(up, n)} has {len(missing)} absent "

@@ -99,15 +99,8 @@ def _shattered_pruned(family: Family) -> int:
                 if cand in seen:
                     continue
                 seen.add(cand)
-                ok = True
-                c = cand
-                while c:
-                    lb = c & -c
-                    if not sh >> (cand ^ lb) & 1:
-                        ok = False
-                        break
-                    c ^= lb
-                if ok and shatters(family, cand):
+                facets = (cand ^ (1 << j) for j in range(n) if cand >> j & 1)
+                if all(sh >> f & 1 for f in facets) and shatters(family, cand):
                     sh |= 1 << cand
                     nxt.append(cand)
         current = nxt

@@ -103,6 +103,35 @@ class TestCountCommand:
         assert "budget" in err
         assert time.perf_counter() - t0 < 2.0
 
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (["conn", "-1", "0"], 2),
+            (["conn", "5", "100"], 2),
+            (["conn", "5", "1"], 3),
+            (["m", "3", "1", "--budget", "0"], 2),
+            (["m", "3", "1", "--budget", "-5"], 2),
+            (["conn", "3", "1", "--budget", "0"], 2),
+            (["exvc", "3", "1", "--budget", "1"], 2),
+            (["indmat", "3", "1", "--budget", "1"], 2),
+            (["m", "3", "1", "--budget", "69"], 3),
+            (["m", "3", "1", "--budget", "70"], 0),
+        ],
+        ids=[
+            "conn_n_negative", "conn_m_over_2n", "conn_n5", "m_budget_0",
+            "m_budget_negative", "conn_budget_0", "exvc_budget",
+            "indmat_budget", "m_budget_69", "m_budget_70",
+        ],
+    )
+    def test_arguments_and_budget_flag(self, capsys, argv, want):
+        # count m 3 1 has C(8, C(3,<=1)) = 70 candidates; conn at n=5 has
+        # at least 14,532,608 connected sets, over the default 10^7
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(capsys, "count", *argv)
+        assert code == want
+        assert ("budget=70" in out) == (want == 0)
+        assert time.perf_counter() - t0 < 2.0
+
     def test_csv_row_written(self, capsys, tmp_path):
         path = tmp_path / "counts.csv"
         run_cli(capsys, "count", "m", "2", "1", "--csv", str(path))

@@ -19,6 +19,7 @@ from vcube import (
     matching_to_family,
     maximal_count_bounds,
 )
+from vcube.counting import conn_lower_bound
 
 # Frozen by the reference oracles in tests/reference.py.
 M_TABLE = {
@@ -148,6 +149,16 @@ class TestExactConn:
     def test_budget(self):
         with pytest.raises(BudgetError, match="budget of 100"):
             conn_profile(4, budget=100)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_lower_bound_holds(self, n):
+        # the profile counts the empty set too; the bound does not
+        assert conn_lower_bound(n) <= sum(conn_profile(n)) - 1
+
+    def test_lower_bound_values(self):
+        assert [conn_lower_bound(n) for n in range(6)] == [
+            1, 3, 8, 56, 4608, 14532608,
+        ]
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):

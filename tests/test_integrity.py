@@ -1,7 +1,7 @@
 import hashlib
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +14,8 @@ from vcube import (
     Family,
     ParseError,
     PeelConfig,
+    PeelStep,
+    RadiusParams,
     VerificationError,
     binom_leq,
     census,
@@ -329,6 +331,34 @@ class TestCertificateSerialization:
         lines = text.splitlines()
         with pytest.raises(ParseError, match="truncated"):
             certificate_from_text("\n".join(lines[:4]))
+
+    def test_only_underivable_fields_are_stored(self):
+        assert [f.name for f in fields(PeelStep)] == [
+            "center", "ball_hits", "sphere_hits",
+        ]
+        assert [f.name for f in fields(RadiusParams)] == ["n", "alpha"]
+
+    @pytest.mark.parametrize(
+        "defect", ["step_index", "r0_off_by_one", "value_twice", "value_first"]
+    )
+    def test_grammar_defects_are_parse_errors(self, defect):
+        lines = certificate_to_text(peel(6)).splitlines()
+        if defect == "step_index":  # step 2 sits on line 4
+            parts = lines[3].split()
+            lines[3] = " ".join(["3"] + parts[1:])
+            where = 4
+        elif defect == "r0_off_by_one":
+            r0 = solve_radius(6).r0
+            lines[0] = lines[0].replace(f"r0={r0}", f"r0={r0 + 1}")
+            where = 1
+        elif defect == "value_twice":
+            lines.insert(len(lines) - 1, "value=999")
+            where = len(lines)
+        else:
+            lines.insert(1, lines.pop())
+            where = 2
+        with pytest.raises(ParseError, match=f"line {where}:"):
+            certificate_from_text("\n".join(lines) + "\n")
 
     def test_bad_step_line(self):
         with pytest.raises(ParseError, match="line 2"):
