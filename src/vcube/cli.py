@@ -370,7 +370,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"vcube: parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DomainError, NotInImageError, FileNotFoundError) as exc:
+    except (DomainError, NotInImageError, OSError, UnicodeDecodeError) as exc:
         print(f"vcube: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetError as exc:

@@ -118,6 +118,7 @@ def _low_mask(n: int, i: int) -> int:
 
 def translate_bits(bits: int, x: int, n: int) -> int:
     """Characteristic vector of {y ^ x : y in bits}."""
+    _check_mask(x, n)
     i = 0
     while x:
         if x & 1:
@@ -255,7 +256,6 @@ class Family:
 
     def translate(self, x: int) -> "Family":
         """XOR-translate every member by x (an isometry of Q_n)."""
-        _check_mask(x, self.n)
         return Family(self.n, translate_bits(self.bits, x, self.n))
 
     def min_member(self) -> int:
@@ -325,7 +325,6 @@ def layer(n: int, k: int) -> Family:
 def sphere(n: int, x: int, r: int) -> Family:
     """Vertices at Hamming distance exactly r from x."""
     _check_dim(n)
-    _check_mask(x, n)
     if not 0 <= r <= n:
         raise DomainError(f"radius r={r} outside [0, {n}]")
     return Family(n, translate_bits(_layer_bits(n, r), x, n))
@@ -334,7 +333,6 @@ def sphere(n: int, x: int, r: int) -> Family:
 def ball(n: int, x: int, r: int) -> Family:
     """Vertices at Hamming distance at most r from x."""
     _check_dim(n)
-    _check_mask(x, n)
     if not 0 <= r <= n:
         raise DomainError(f"radius r={r} outside [0, {n}]")
     return Family(n, translate_bits(_ball_bits(n, r), x, n))

@@ -379,3 +379,22 @@ class TestUsageErrors:
         code, _, _ = run_cli(capsys, *argv)
         assert code == want
         assert max_dim() == DEFAULT_MAX_DIM
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["vc", "{dir}"],
+            ["verify", "{binary}"],
+            ["count", "m", "3", "1", "--csv", "{dir}"],
+            ["peel", "5", "--out", "{dir}"],
+        ],
+        ids=["vc_directory", "verify_binary", "csv_directory", "out_directory"],
+    )
+    def test_unreadable_or_unwritable_path_exits_2(self, capsys, tmp_path, argv):
+        binary = tmp_path / "cert.bin"
+        binary.write_bytes(bytes([0xFF, 0xFE, 0x00, 0x80]) * 16)
+        paths = {"dir": str(tmp_path), "binary": str(binary)}
+        code, _, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2
+        assert "input error" in err
+        assert "Traceback" not in err

@@ -27,9 +27,10 @@ from vcube import (
     middle_layer_baseline,
     peel,
     solve_radius,
+    translate_bits,
     verify_certificate,
 )
-from vcube.integrity import _choose_center, _radius_gap
+from vcube.integrity import _radius_gap
 
 
 class TestSolveRadius:
@@ -102,6 +103,13 @@ class TestCensus:
             assert b == sum(1 for d in dists if d <= r)
             assert s == sum(1 for d in dists if d == r)
 
+    @pytest.mark.parametrize("x", [16, -1], ids=["too_wide", "negative"])
+    def test_center_must_fit(self, x):
+        with pytest.raises(DomainError):
+            census(Family.full(4), x, 1)
+        with pytest.raises(DomainError):
+            translate_bits(1, x, 4)
+
 
 class TestChooseCenter:
     def test_single_vertex_family_progresses(self):
@@ -123,26 +131,53 @@ class TestChooseCenter:
         assert Fraction(s, b) == Fraction(math.comb(n, p.r0), binom_leq(n, p.r0))
 
     def test_argmin_over_the_sampled_pool(self):
-        # replay the exact pool the chooser saw and re-minimize by hand
+        # replay the exact pool the chooser saw and re-minimize by hand,
+        # over dense families and ones with only a handful of members;
+        # at n=4, 32 samples cannot all differ, so pools repeat a center
         rng = random.Random(45)
-        for _ in range(15):
-            n = rng.randrange(4, 9)
-            fam = Family(n, rng.getrandbits(1 << n) | 1)
-            r0 = rng.randrange(1, n // 2 + 1)
-            seed = rng.randrange(1000)
-            samples = 8
-            picked = choose_center(fam, r0, PeelConfig(samples=samples, seed=seed))
-            replay = random.Random(seed)
-            pool = [replay.getrandbits(n) for _ in range(samples)]
-            pool.append(list(fam)[replay.randrange(len(fam))])
-            best = None
-            for x in pool:
-                b, s = census(fam, x, r0)
-                key = (b == 0, Fraction(s, b if b else 1), x)
-                if best is None or key < best:
-                    best = key
-                    want = x
-            assert picked == want
+        repeats = 0
+        for n in range(4, 11):
+            for samples in (8, 32):
+                for sparse in (False, True):
+                    if sparse:
+                        k = rng.randrange(1, 6)
+                        fam = Family.from_masks(n, rng.sample(range(1 << n), k))
+                    else:
+                        fam = Family(n, rng.getrandbits(1 << n) | 1)
+                    r0 = rng.randrange(1, n // 2 + 1)
+                    seed = rng.randrange(1000)
+                    cfg = PeelConfig(samples=samples, seed=seed)
+                    picked = choose_center(fam, r0, cfg)
+                    replay = random.Random(seed)
+                    pool = [replay.getrandbits(n) for _ in range(samples)]
+                    pool.append(list(fam)[replay.randrange(len(fam))])
+                    repeats += len(set(pool)) < len(pool)
+                    best = None
+                    for x in pool:
+                        b, s = census(fam, x, r0)
+                        key = (b == 0, Fraction(s, b if b else 1), x)
+                        if best is None or key < best:
+                            best = key
+                    assert picked == best[2]
+        assert repeats >= 2
+
+    def test_one_translate_per_candidate(self, monkeypatch):
+        import vcube.integrity as integ
+
+        calls = []
+
+        def counting(bits, x, n):
+            calls.append(x)
+            return translate_bits(bits, x, n)
+
+        monkeypatch.setattr(integ, "translate_bits", counting)
+        dense = Family(8, random.Random(47).getrandbits(256) | 1)
+        sparse = Family.from_masks(8, [5, 200])
+        for fam in (dense, sparse):
+            for samples in (0, 8, 32):
+                calls.clear()
+                choose_center(fam, 2, PeelConfig(samples=samples, seed=3))
+                assert len(calls) == samples + 1
 
     def test_empty_family_rejected(self):
         with pytest.raises(DomainError):
@@ -366,20 +401,3 @@ class TestCertificateSerialization:
                 "n=6 alpha=0.7 r0=1 seed=0 T=32\n0 000000 1\n"
             )
 
-
-class TestSparseCensusPath:
-    def test_small_family_census_equals_dense(self):
-        # drive _choose_center through both census paths with one pool
-        rng = random.Random(46)
-        n = 6
-        fam = Family(n, rng.getrandbits(64) | 1)
-        got_sparse = _choose_center(fam.bits, len(fam), n, 2, 8, random.Random(7))
-        import vcube.integrity as integ
-
-        orig = integ._sparse_census_limit
-        integ._sparse_census_limit = lambda n: 0  # force the translate path
-        try:
-            got_dense = _choose_center(fam.bits, len(fam), n, 2, 8, random.Random(7))
-        finally:
-            integ._sparse_census_limit = orig
-        assert got_sparse == got_dense
