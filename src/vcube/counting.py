@@ -1,4 +1,4 @@
-"""Exact exhaustive counting oracles and log-domain bound evaluation.
+"""Exact counting oracles and log-domain bound evaluation.
 
 All counts exclude the empty family.  Budgets are hard preconditions
 checked up front; an over-budget request fails loudly instead of
@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import vc
-from .cube import Family, _check_dim, _gosper, binom_leq, log_binom
+from .cube import Family, _check_dim, binom_leq, log_binom
 from .errors import BudgetError, DomainError
 from .matchings import enumerate_induced_matchings
 
@@ -25,7 +25,7 @@ Progress = Optional[Callable[[int], None]]
 
 
 def m_candidate_count(n: int, k: int) -> int:
-    """Size of the exhaustive search space behind exact_m."""
+    """Size of the brute-force search space; it bounds exact_m's lifts."""
     return math.comb(1 << n, binom_leq(n, k))
 
 
@@ -34,16 +34,29 @@ def exact_m(
 ) -> int:
     """Count maximal families of VC dimension exactly k in P(n).
 
-    Maximality pins the size to C(n,<=k), so only subsets of that exact
-    size are enumerated (in colex order) and filtered on VC dimension.
+    Maximality pins the size to C(n,<=k), so these are the maximum
+    classes.  They are counted by restriction and reduction (Welzl 1987;
+    Floyd & Warmuth 1995): restricting a maximum class C of dimension k
+    on [n] to [n-1] gives a maximum class R of dimension k, and the
+    points of R present with both values of coordinate n form a maximum
+    class T of dimension k-1, with T inside R.  Conversely, for D = R - T
+    each submask Z of D gives one candidate, the lift with T|(D^Z) below
+    coordinate n and T|Z above it, and C is one of them for exactly one
+    (R, T, Z).  A lift has the size of C, so it is maximum iff it
+    shatters no (k+1)-set; only sets through coordinate n can be
+    shattered, so that is a k-set of [n-1] shattered by both halves.
+
+    Every lift is a distinct C(n,<=k)-subset of Q_n, so the lifts
+    examined never exceed m_candidate_count(n, k), and the budget guard
+    on that count bounds the work.  `progress` counts the lifts.
     """
+    _check_dim(n, allow_zero=True)
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got n={n} k={k}")
-    size = binom_leq(n, k)
     # A log-gamma estimate refuses all but a near miss before any
     # big-integer work; its margin of e dwarfs its rounding error.
     try:
-        log_total = log_binom(2.0**n, size)
+        log_total = log_binom(2.0**n, binom_leq(n, k))
     except OverflowError:  # 2^n is past float range
         log_total = math.inf
     if (
@@ -55,15 +68,79 @@ def exact_m(
             f"exact_m(n={n}, k={k}) needs about e^{log_total:.1f} "
             f"candidates, over the budget of {budget}"
         )
+    if k == 0:
+        return 1 << n
+    if k == n:
+        return 1
     count = 0
-    examined = 0
-    for bits in _gosper(1 << n, size):
-        examined += 1
-        if vc.vc_dim(Family(n, bits)) == k:
-            count += 1
-        if progress is not None and examined % PROGRESS_STRIDE == 0:
-            progress(examined)
+    lifts = 0
+    for _, d, kept in _MaximumClasses().lifts(n, k):
+        count += len(kept)
+        before = lifts
+        lifts += 1 << d.bit_count()
+        if progress is not None and (
+            lifts // PROGRESS_STRIDE > before // PROGRESS_STRIDE
+        ):
+            progress(lifts)
     return count
+
+
+class _MaximumClasses:
+    """The restriction-reduction enumerator behind exact_m.
+
+    Its memos of classes and shattered sets live as long as the object,
+    which exact_m creates for one count.
+    """
+
+    def __init__(self) -> None:
+        self._classes: Dict[Tuple[int, int], List[int]] = {}
+        self._shattered: Dict[Tuple[int, int], int] = {}
+
+    def classes(self, n: int, k: int) -> List[int]:
+        """Characteristic vectors of the maximum classes of dimension k."""
+        if k == 0:
+            return [1 << v for v in range(1 << n)]
+        if k == n:
+            return [(1 << (1 << n)) - 1]
+        if (n, k) not in self._classes:
+            shift = 1 << (n - 1)
+            self._classes[n, k] = [
+                (t | d ^ z) | (t | z) << shift
+                for t, d, kept in self.lifts(n, k)
+                for z in kept
+            ]
+        return self._classes[n, k]
+
+    def lifts(self, n: int, k: int) -> Iterator[Tuple[int, int, List[int]]]:
+        """(T, D, kept) for every pair T inside R in Q_(n-1), 0 < k < n.
+
+        D = R - T, and `kept` lists the submasks Z of D whose lift is
+        maximum.  A half T|Z shatters every set T shatters, all of size
+        below k, and no set above k, since it lies inside R; so the
+        halves share no k-set iff their shattered sets meet in sh(T).
+        """
+        sub = n - 1
+        reductions = self.classes(sub, k - 1)
+        for r in self.classes(sub, k):
+            for t in reductions:
+                if t & ~r:
+                    continue
+                d = r ^ t
+                sh = {}
+                z = d
+                while True:
+                    sh[z] = self._shattered_bits(sub, t | z)
+                    if not z:
+                        break
+                    z = (z - 1) & d
+                base = sh[0]
+                yield t, d, [z for z, s in sh.items() if s & sh[d ^ z] == base]
+
+    def _shattered_bits(self, n: int, bits: int) -> int:
+        key = (n, bits)
+        if key not in self._shattered:
+            self._shattered[key] = vc.shattered_sets(Family(n, bits)).bits
+        return self._shattered[key]
 
 
 def exvc_candidate_count(n: int) -> int:
@@ -86,7 +163,11 @@ def exact_exvc(
         )
     count = 0
     top = 1 << (1 << n)
+    # an extremal family with VC <= k has |F| = |sh(F)| <= C(n,<=k)
+    most = binom_leq(n, k)
     for bits in range(1, top):
+        if bits.bit_count() > most:
+            continue
         fam = Family(n, bits)
         sh = vc.shattered_sets(fam)
         if len(sh) != len(fam):

@@ -116,16 +116,20 @@ class TestCountCommand:
             (["indmat", "3", "1", "--budget", "1"], 2),
             (["m", "3", "1", "--budget", "69"], 3),
             (["m", "3", "1", "--budget", "70"], 0),
+            (["m", "29", "0"], 2),
+            (["m", "29", "0", "--budget", "1000000000"], 2),
         ],
         ids=[
             "conn_n_negative", "conn_m_over_2n", "conn_n5", "m_budget_0",
             "m_budget_negative", "conn_budget_0", "exvc_budget",
-            "indmat_budget", "m_budget_69", "m_budget_70",
+            "indmat_budget", "m_budget_69", "m_budget_70", "m_n29",
+            "m_n29_budget",
         ],
     )
     def test_arguments_and_budget_flag(self, capsys, argv, want):
         # count m 3 1 has C(8, C(3,<=1)) = 70 candidates; conn at n=5 has
-        # at least 14,532,608 connected sets, over the default 10^7
+        # at least 14,532,608 connected sets, over the default 10^7; n=29
+        # is over the dimension cap whatever the budget
         t0 = time.perf_counter()
         code, out, _ = run_cli(capsys, "count", *argv)
         assert code == want

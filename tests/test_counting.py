@@ -8,6 +8,7 @@ import reference as ref
 from vcube import (
     BudgetError,
     DomainError,
+    Family,
     binom_leq,
     conn_profile,
     enumerate_induced_matchings,
@@ -19,7 +20,8 @@ from vcube import (
     matching_to_family,
     maximal_count_bounds,
 )
-from vcube.counting import conn_lower_bound
+from vcube import vc
+from vcube.counting import _MaximumClasses, conn_lower_bound
 
 # Frozen by the reference oracles in tests/reference.py.
 M_TABLE = {
@@ -34,6 +36,9 @@ M_TABLE = {
     (3, 3): 1,
     (4, 0): 16,
     (4, 1): 400,
+    (4, 2): 400,
+    (4, 3): 16,
+    (4, 4): 1,
 }
 EXVC_TABLE = {
     (1, 0): 2,
@@ -73,12 +78,38 @@ class TestExactM:
             assert exact_m(n, k) == want
 
     def test_vc_zero_counts_singletons(self):
-        for n in range(1, 5):
+        for n in range(1, 6):
             assert exact_m(n, 0) == 2**n
 
+    def test_edge_cells_and_complement_symmetry(self):
+        for n in range(1, 6):
+            assert exact_m(n, n - 1) == 2**n
+            assert exact_m(n, n) == 1
+        assert exact_m(5, 3) == exact_m(5, 1)
+
+    def test_closed_form_for_dimension_one(self):
+        for n in range(2, 6):
+            assert exact_m(n, 1) == 2**n * (n + 1) ** (n - 2)
+
     def test_against_reference_live(self):
-        assert exact_m(3, 1) == ref.count_maximal(3, 1)
-        assert exact_m(3, 2) == ref.count_maximal(3, 2)
+        for n in range(1, 5):
+            for k in range(n + 1):
+                assert exact_m(n, k) == ref.count_maximal(n, k), (n, k)
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (5, 1)])
+    def test_enumerated_classes_are_distinct_and_maximum(self, n, k):
+        classes = _MaximumClasses().classes(n, k)
+        assert len(set(classes)) == len(classes) == exact_m(n, k)
+        for bits in classes:
+            assert bits.bit_count() == binom_leq(n, k)
+            assert vc.vc_dim(Family(n, bits)) == k
+
+    def test_beyond_brute_force_and_progress_counts_lifts(self):
+        # brute force would test C(32, 16) = 6.0e8 candidates; the
+        # enumerator examines 1,491,968 lifts, 2^C(4,2) = 64 per pair
+        seen = []
+        assert exact_m(5, 2, budget=10**9, progress=seen.append) == 97536
+        assert seen == [10**6]
 
     def test_budget_refuses_upfront(self):
         with pytest.raises(BudgetError, match="100000000"):
