@@ -19,7 +19,6 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .cube import (
@@ -171,7 +170,7 @@ def _choose_center(
 
     Candidates whose ball misses F entirely rank last so the returned
     center always removes at least one vertex; ties break toward the
-    numerically smallest mask.  Ratios compare exactly as fractions.
+    numerically smallest mask.  Ratios compare exactly, in integers.
 
     The census visits the pool in a greedy nearest-neighbour walk from 0
     and shifts the previous candidate's translate by the hop x ^ prev,
@@ -193,10 +192,22 @@ def _choose_center(
         prev = x
         b = (shifted & ball0).bit_count()
         s = (shifted & sphere0).bit_count()
-        key = (b == 0, Fraction(s, b if b else 1), x)
-        if best is None or key < best:
-            best = key
+        if best is None or _ranks_before(b, s, x, best):
+            best = b, s, x
     return best[2]
+
+
+def _ranks_before(b: int, s: int, x: int, best: Tuple[int, int, int]) -> bool:
+    """Whether key (b == 0, s/b, x) sorts before the key of `best`.
+
+    The ratios compare as s*b' < s'*b in integers, with 1 for an empty
+    ball, whose sphere is empty too.
+    """
+    b2, s2, x2 = best
+    if (b == 0) != (b2 == 0):
+        return b2 == 0
+    lhs, rhs = s * (b2 or 1), s2 * (b or 1)
+    return lhs < rhs or (lhs == rhs and x < x2)
 
 
 def choose_center(

@@ -37,8 +37,11 @@ def test_layer_patches_find_every_traced_name(capsys, tmp_path):
         assert main(["peel", "6", "--out", str(cert)]) == 0
         assert main(["verify", str(cert)]) == 0
         assert main(["count", "conn", "3", "2"]) == 0
+        assert main(["count", "exvc", "3", "1"]) == 0
+        assert main(["count", "m", "3", "1"]) == 0
     capsys.readouterr()
     # the wrappers sit on the names the library calls through
     for name in ("integrity.peel", "integrity.verify", "integrity.cert_io",
-                 "cube.translate", "cube.components", "counting.conn"):
+                 "cube.translate", "cube.components", "counting.conn",
+                 "counting.exvc", "counting.m", "vc.shattered"):
         assert tracer.calls[name] > 0, name

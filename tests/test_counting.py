@@ -21,7 +21,7 @@ from vcube import (
     maximal_count_bounds,
 )
 from vcube import vc
-from vcube.counting import _MaximumClasses, conn_lower_bound
+from vcube.counting import _Classes, conn_lower_bound
 
 # Frozen by the reference oracles in tests/reference.py.
 M_TABLE = {
@@ -50,7 +50,15 @@ EXVC_TABLE = {
     (3, 1): 76,
     (3, 2): 126,
     (3, 3): 127,
+    (4, 0): 16,
+    (4, 1): 800,
+    (4, 2): 4744,
+    (4, 3): 5528,
+    (4, 4): 5529,
 }
+# Pinned by TestExactM.test_beyond_brute_force_and_progress_counts_lifts,
+# the one test that pays its 1.5 s.
+M_5_2 = 97536
 INDMAT_TABLE = {
     (2, 0): 3,
     (2, 1): 3,
@@ -98,7 +106,7 @@ class TestExactM:
 
     @pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (5, 1)])
     def test_enumerated_classes_are_distinct_and_maximum(self, n, k):
-        classes = _MaximumClasses().classes(n, k)
+        classes = _Classes().maximum(n, k)
         assert len(set(classes)) == len(classes) == exact_m(n, k)
         for bits in classes:
             assert bits.bit_count() == binom_leq(n, k)
@@ -108,7 +116,7 @@ class TestExactM:
         # brute force would test C(32, 16) = 6.0e8 candidates; the
         # enumerator examines 1,491,968 lifts, 2^C(4,2) = 64 per pair
         seen = []
-        assert exact_m(5, 2, budget=10**9, progress=seen.append) == 97536
+        assert exact_m(5, 2, budget=10**9, progress=seen.append) == M_5_2
         assert seen == [10**6]
 
     def test_budget_refuses_upfront(self):
@@ -127,7 +135,20 @@ class TestExactExvc:
             assert exact_exvc(n, k) == want
 
     def test_against_reference_live(self):
-        assert exact_exvc(2, 1) == ref.count_extremal_atmost(2, 1)
+        for n in range(4):
+            for k in range(n + 1):
+                want = ref.count_extremal_atmost(n, k)
+                assert exact_exvc(n, k) == want, (n, k)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_enumerated_classes_are_distinct_and_extremal(self, n):
+        classes = _Classes().extremal(n)
+        assert len({bits for bits, _ in classes}) == len(classes)
+        assert len(classes) == exact_exvc(n, n)
+        for bits, dim in classes:
+            assert vc.is_extremal(Family(n, bits))
+            # the lift's max(vc(R), vc(T) + 1)
+            assert dim == vc.vc_dim(Family(n, bits))
 
     def test_unconstrained_equals_all_extremal(self):
         # VC <= n is vacuous, so this counts every nonempty extremal family
@@ -198,12 +219,18 @@ class TestExactConn:
 
 class TestInequalityChain:
     def test_indmat_m_exvc_chain(self):
-        for n in (2, 3):
+        for n in (2, 3, 4):
             for k in range(1, n):
                 a = exact_indmat(n, k)
                 b = exact_m(n, k)
                 c = exact_exvc(n, k)
                 assert a <= b <= c
+
+    def test_indmat_below_m_at_n5(self):
+        assert exact_indmat(5, 2) == 1648
+        for k in range(5):
+            m = M_5_2 if k == 2 else exact_m(5, k)
+            assert exact_indmat(5, k) <= m, k
 
     def test_injection_witnesses_first_inequality(self):
         # distinct encodings of all matchings are maximal VC-k families,
