@@ -51,34 +51,34 @@ def _progress(label):
 
 def _parse_range(text, default_step):
     """Parse 'A..B' or 'A..B:STEP' where STEP is an int or 'x2'."""
-    step = default_step
-    body = text
-    if ":" in text:
-        body, step_text = text.split(":", 1)
-        step = step_text.strip()
+    body, colon, step = text.partition(":")
+    step = step.strip() if colon else default_step
     if ".." not in body:
         raise DomainError(f"range must look like A..B, got {text!r}")
     a_text, b_text = body.split("..", 1)
+    multiply = step.startswith("x")
     try:
         a, b = int(a_text), int(b_text)
+        stride = int(step[1:] if multiply else step)
     except ValueError:
-        raise DomainError(f"bad range endpoints in {text!r}") from None
+        raise DomainError(f"bad range endpoints or step in {text!r}") from None
     if a > b:
         raise DomainError(f"empty range {text!r}")
-    if isinstance(step, str) and step.startswith("x"):
-        factor = int(step[1:])
-        if factor < 2:
-            raise DomainError(f"multiplicative step must be >= 2 in {text!r}")
+    if multiply:
+        if stride < 2 or a < 1:
+            raise DomainError(f"x step needs factor >= 2, start >= 1: {text!r}")
         out = []
         v = a
         while v <= b:
             out.append(v)
-            v *= factor
+            v *= stride
         return out
-    stride = int(step)
     if stride < 1:
         raise DomainError(f"step must be >= 1 in {text!r}")
-    return list(range(a, b + 1, stride))
+    try:
+        return list(range(a, b + 1, stride))
+    except (OverflowError, MemoryError):
+        raise DomainError(f"range {text!r} is too long to list") from None
 
 
 def _write_csv(path, header, rows):
@@ -165,6 +165,9 @@ def cmd_inject(args, out):
         pool = [
             matchings.matching_from_text(b.strip()) for b in blocks if b.strip()
         ]
+        for i, m in enumerate(pool, 1):
+            if (m.n, m.k) != (n, k):
+                raise DomainError(f"matching block {i} has n={m.n} k={m.k}")
     else:
         pool = list(matchings.enumerate_induced_matchings(n, k))
     images = set()
@@ -234,7 +237,7 @@ def cmd_verify(args, out):
 
 
 def cmd_sweep(args, out):
-    default_steps = {"lemma": "x2", "rho": 2, "bounds": 1}
+    default_steps = {"lemma": "x2", "rho": "2", "bounds": "1"}
     dims = _parse_range(args.range, default_steps[args.kind])
     if args.kind == "lemma":
         header = ["n", "alpha", "r0", "ball_ratio", "sphere_ratio"]
@@ -262,7 +265,11 @@ def cmd_sweep(args, out):
                 ]
             )
     else:
-        eps = Fraction(args.epsilon)
+        try:
+            eps = Fraction(args.epsilon)
+            float(eps)  # the bounds are evaluated in floats
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise DomainError(f"bad --epsilon {args.epsilon!r}") from None
         header = ["n", "k", "epsilon", "log_lower", "log_upper", "log_target"]
         rows = []
         for n in dims:

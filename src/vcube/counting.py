@@ -244,9 +244,11 @@ def conn_profile(
     """Counts of connected induced subgraphs of Q_n by size, 0..2^n.
 
     The empty subgraph counts as connected by convention, so the result
-    starts with 1.  Enumeration grows each connected set from its least
-    vertex with an exclusive-neighborhood rule, visiting every connected
-    vertex set exactly once; `budget` caps the number of visited sets.
+    starts with 1.  Each connected set grows from its least vertex by the
+    exclusive-neighbourhood rule, so it is visited once; `budget` caps the
+    visits.  Sets are int masks.  `closed` holds N[set] and every vertex
+    up to the root; the child adding w, the lowest bit of the frontier
+    ext, gets frontier (ext - w) | (N(w) & ~closed) and closed | N(w).
     """
     _check_dim(n, allow_zero=True)
     size = 1 << n
@@ -258,12 +260,11 @@ def conn_profile(
         )
     counts = [0] * (size + 1)
     counts[0] = 1
-    nbrs = [[v ^ (1 << i) for i in range(n)] for v in range(size)]
-    nbr_mask = [sum(1 << u for u in row) for row in nbrs]
+    nbr = [sum(1 << (v ^ (1 << i)) for i in range(n)) for v in range(size)]
     visited = 0
     for root in range(size):
-        ext0 = [u for u in nbrs[root] if u > root]
-        stack = [(1, ext0, (1 << root) | nbr_mask[root])]
+        below = (2 << root) - 1
+        stack = [(1, nbr[root] & ~below, nbr[root] | below)]
         while stack:
             csize, ext, closed = stack.pop()
             visited += 1
@@ -275,13 +276,11 @@ def conn_profile(
             counts[csize] += 1
             if progress is not None and visited % PROGRESS_STRIDE == 0:
                 progress(visited)
-            for i, w in enumerate(ext):
-                fresh = [
-                    u for u in nbrs[w] if u > root and not closed >> u & 1
-                ]
-                stack.append(
-                    (csize + 1, ext[i + 1 :] + fresh, closed | nbr_mask[w])
-                )
+            while ext:
+                w = ext & -ext
+                ext ^= w
+                nw = nbr[w.bit_length() - 1]
+                stack.append((csize + 1, ext | (nw & ~closed), closed | nw))
     return counts
 
 

@@ -24,11 +24,10 @@ DEFAULT_MAX_DIM = 28
 
 _max_dim = DEFAULT_MAX_DIM
 
-# byte value -> positions of its set bits, and their count
+# byte value -> positions of its set bits
 _BIT_POSITIONS = tuple(
     tuple(i for i in range(8) if b >> i & 1) for b in range(256)
 )
-_POPCOUNT8 = tuple(len(p) for p in _BIT_POSITIONS)
 
 
 def max_dim() -> int:
@@ -264,26 +263,23 @@ class Family:
         return (self.bits & -self.bits).bit_length() - 1
 
     def select(self, j: int) -> int:
-        """The j-th smallest member (0-indexed)."""
+        """The j-th smallest member (0-indexed), by halving the vector to
+        one bit: keep the low half while its popcount exceeds j, else the
+        high half with j less that popcount."""
         if j < 0 or j >= self.size:
             raise IndexError(f"rank {j} out of range for size {self.size}")
-        data = self.bits.to_bytes(_byte_len(self.n), "little")
-        pos = 0
-        chunk = 4096
-        while pos + chunk <= len(data):
-            c = int.from_bytes(data[pos : pos + chunk], "little").bit_count()
-            if j >= c:
-                j -= c
-                pos += chunk
+        bits, pos, width = self.bits, 0, 1 << self.n
+        while width > 1:
+            width >>= 1
+            low = bits & ((1 << width) - 1)
+            c = low.bit_count()
+            if j < c:
+                bits = low
             else:
-                break
-        for idx in range(pos, len(data)):
-            c = _POPCOUNT8[data[idx]]
-            if j >= c:
                 j -= c
-            else:
-                return idx * 8 + _BIT_POSITIONS[data[idx]][j]
-        raise AssertionError("rank scan overran the vector")
+                bits >>= width
+                pos += width
+        return pos
 
 
 # ---------------------------------------------------------------------------

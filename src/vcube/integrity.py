@@ -160,7 +160,6 @@ def census(family: Family, x: int, r0: int) -> Tuple[int, int]:
 
 def _choose_center(
     alive: int,
-    alive_count: int,
     n: int,
     r0: int,
     samples: int,
@@ -182,7 +181,7 @@ def _choose_center(
     ball0 = _ball_bits(n, r0)
     sphere0 = _layer_bits(n, r0)
     pool = [rng.getrandbits(n) for _ in range(samples)]
-    pool.append(Family(n, alive).select(rng.randrange(alive_count)))
+    pool.append(Family(n, alive).select(rng.randrange(alive.bit_count())))
     best = None
     prev, shifted = 0, alive
     while pool:
@@ -218,9 +217,7 @@ def choose_center(
         raise DomainError("cannot choose a center for the empty family")
     if rng is None:
         rng = random.Random(cfg.seed)
-    return _choose_center(
-        family.bits, family.size, family.n, r0, cfg.samples, rng
-    )
+    return _choose_center(family.bits, family.n, r0, cfg.samples, rng)
 
 
 def _peel_step(alive: int, x: int, n: int, r0: int) -> Tuple[int, ...]:
@@ -253,14 +250,12 @@ def peel(n: int, cfg: PeelConfig = PeelConfig()) -> IntegrityCertificate:
     r0 = params.r0
     rng = random.Random(cfg.seed)
     alive = full = (1 << (1 << n)) - 1
-    alive_count = 1 << n
     sep = 0
     steps: List[PeelStep] = []
     while alive:
-        x = _choose_center(alive, alive_count, n, r0, cfg.samples, rng)
+        x = _choose_center(alive, n, r0, cfg.samples, rng)
         alive, sphere, ball_hits, sphere_hits = _peel_step(alive, x, n, r0)
         sep |= sphere
-        alive_count -= ball_hits
         steps.append(PeelStep(x, ball_hits, sphere_hits))
     separator = Family(n, sep)
     max_comp = _max_component_via_bfs(sep ^ full, n)

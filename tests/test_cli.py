@@ -168,6 +168,22 @@ class TestInjectCommand:
         assert code == 0
         assert kv(out)["matchings"] == "10"
 
+    @pytest.mark.parametrize("argv", [["4", "1"], ["5", "2"]])
+    def test_matchings_of_another_shape_exit_2(self, capsys, tmp_path, argv):
+        from vcube import enumerate_induced_matchings, matching_to_text
+
+        blocks = [
+            matching_to_text(m) for m in enumerate_induced_matchings(5, 1)
+        ][:3]
+        path = tmp_path / "ms.txt"
+        path.write_text("\n\n".join(blocks))
+        code, out, err = run_cli(
+            capsys, "inject", *argv, "--matchings", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert "matching block 1 has n=5 k=1" in err
+
 
 def _step_rows(lines):
     return [i for i, ln in enumerate(lines) if len(ln.split()) == 4]
@@ -213,6 +229,25 @@ _MUTANT_TOKENS = st.one_of(
     st.sampled_from(["0", "-1", "2", "3", "nan", "inf", "-0.0", "1e999", ""]),
     st.integers(-(1 << 70), 1 << 70).map(str),
     st.text(alphabet="01x=-.+afin", max_size=12),
+)
+
+# Sweep arguments: endpoints stay <= 64 so every accepted range is short.
+_SWEEP_ENDPOINTS = st.one_of(
+    st.integers(-70, 64).map(str),
+    st.sampled_from(["", "x", "8.5", "-", "1e3", " 8", "0x10", "nan"]),
+)
+_SWEEP_STEPS = st.one_of(
+    st.integers(-3, 70).map(str),
+    st.integers(-3, 70).map(lambda i: f"x{i}"),
+    st.text(alphabet="0123456789x-+. ", max_size=5),
+)
+_SWEEP_EPSILONS = st.one_of(
+    st.sampled_from(
+        ["1/8", "0", "1", "1/0", "0/0", "nan", "inf", "-1/8", "abc", "",
+         "1e-3", "1e999", "-1e999", "1e-999", "-0.0", "1/2", "7/8"]
+    ),
+    st.fractions(-2, 2, max_denominator=100).map(str),
+    st.text(alphabet="0123456789/.-+ ", max_size=8),
 )
 
 
@@ -324,9 +359,55 @@ class TestSweepCommand:
             cells = line.split(",")
             assert float(cells[3]) <= float(cells[4])
 
-    def test_bad_range_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "sweep", "lemma", "1024")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lemma", "1024"],
+            ["lemma", "8..16:xa"],
+            ["lemma", "8..16:abc"],
+            ["bounds", "8..16", "--epsilon", "abc"],
+            ["bounds", "8..16", "--epsilon", "nan"],
+            ["bounds", "8..16", "--epsilon", "1/0"],
+            ["bounds", "8..16", "--epsilon", "1e999"],
+            ["lemma", "8..1000000000000000000000:1"],
+            ["lemma", "0..16"],
+            ["lemma", "--", "-4..16:x2"],
+        ],
+        ids=[
+            "no_dots", "step_xa", "step_abc", "epsilon_abc", "epsilon_nan",
+            "epsilon_div0", "epsilon_1e999", "too_long", "x2_from_0",
+            "x2_from_negative",
+        ],
+    )
+    def test_bad_range_exits_2(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, _, err = run_cli(capsys, "sweep", *argv)
         assert code == 2
+        assert "input error" in err
+        assert time.perf_counter() - t0 < 2
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        kind=st.sampled_from(["lemma", "bounds"]),
+        a=_SWEEP_ENDPOINTS,
+        dots=st.sampled_from([".."] * 3 + [".", "...", ""]),
+        b=_SWEEP_ENDPOINTS,
+        step=st.none() | _SWEEP_STEPS,
+        eps=st.none() | _SWEEP_EPSILONS,
+    )
+    def test_mutated_arguments_never_crash(self, capsys, kind, a, dots, b,
+                                           step, eps):
+        span = f"{a}{dots}{b}" + ("" if step is None else f":{step}")
+        argv = ["sweep", kind]
+        if eps is not None:
+            argv.append(f"--epsilon={eps}")
+        # after "--" a leading "-" cannot turn the range into an option
+        code, _, _ = run_cli(capsys, *argv, "--", span)
+        assert code in (0, 2, 3)
 
 
 class TestDeterminismSubprocess:

@@ -202,6 +202,13 @@ class TestExactConn:
         with pytest.raises(BudgetError, match="budget of 100"):
             conn_profile(4, budget=100)
 
+    def test_budget_counts_each_set_once(self):
+        # Q_4 has 37293 nonempty connected sets: a frontier that visited
+        # one twice would trip the budget at exactly that count
+        assert conn_profile(4, budget=37293) == CONN_PROFILES[4]
+        with pytest.raises(BudgetError, match="exceeded its budget of 37292"):
+            conn_profile(4, budget=37292)
+
     @pytest.mark.parametrize("n", range(5))
     def test_lower_bound_holds(self, n):
         # the profile counts the empty set too; the bound does not

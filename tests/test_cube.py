@@ -222,15 +222,34 @@ class TestFamily:
             assert sorted(moved) == sorted(m ^ x for m in fam)
 
     def test_select_matches_iteration(self):
+        # dense, single-member, upper-half-only and sparse families at
+        # every n the halving sees from a one-bit vector up; every rank
+        # when a family is small, a spread of ranks when it is not
         rng = random.Random(17)
-        for _ in range(30):
-            n = rng.randrange(1, 9)
-            fam = random_family(rng, n)
-            members = list(fam)
-            for j in (0, len(members) // 2, len(members) - 1):
-                assert fam.select(j) == members[j]
-            with pytest.raises(IndexError):
-                fam.select(len(members))
+        for n in range(14):
+            size = 1 << n
+            upper = range(size >> 1, size)
+            fams = [
+                random_family(rng, n),
+                Family.from_masks(n, [rng.randrange(size)]),
+                Family.from_masks(n, [size - 1]),
+                Family.from_masks(n, rng.sample(upper, min(len(upper), 40))),
+                Family(n, rng.getrandbits(size) >> (size >> 1) << (size >> 1)),
+                Family.from_masks(n, rng.sample(range(size), min(size, 45))),
+            ]
+            for fam in fams:
+                members = list(fam)
+                if len(members) < 50:
+                    ranks = range(len(members))
+                else:
+                    ranks = {0, 1, len(members) - 1, len(members) // 2}
+                    ranks |= set(rng.sample(range(len(members)), 40))
+                for j in ranks:
+                    assert fam.select(j) == members[j], (n, j)
+                with pytest.raises(IndexError):
+                    fam.select(len(members))
+                with pytest.raises(IndexError):
+                    fam.select(-1)
 
     def test_min_member(self):
         assert Family.from_masks(3, [6, 3, 5]).min_member() == 3
