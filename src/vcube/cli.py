@@ -265,7 +265,15 @@ def cmd_sweep(args, out):
                 ]
             )
     else:
+        # Fraction builds 10**exp before any check.  A token of L characters
+        # with exponent exp is 0 or lies between 10**(exp - L) and
+        # 10**(exp + L).  No finite non-zero float lies past 10**+-400, so
+        # an exponent beyond L + 400 would overflow or give the 0.0 that
+        # the bounds refuse; it is refused here, before Fraction.
+        head, e, exp = args.epsilon.lower().rpartition("e")
         try:
+            if e and abs(int(exp)) > len(head) + 400:
+                raise OverflowError
             eps = Fraction(args.epsilon)
             float(eps)  # the bounds are evaluated in floats
         except (ValueError, ZeroDivisionError, OverflowError):

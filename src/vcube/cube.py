@@ -16,7 +16,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import accumulate
 from operator import or_
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import DomainError, ParseError
 
@@ -103,26 +103,31 @@ def parse_mask(text: str, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=96)
-def _low_mask(n: int, i: int) -> int:
-    """Bits set at index positions whose coordinate i is 0, width 2^n."""
-    span = 1 << (i + 1)
-    m = (1 << (1 << i)) - 1
+@lru_cache(maxsize=8)
+def _low_masks(n: int) -> Tuple[int, ...]:
+    """For each coordinate i, the 2^n-bit mask of the index positions whose
+    coordinate i is 0."""
     size = 1 << n
-    while span < size:
-        m |= m << span
-        span <<= 1
-    return m
+    masks = []
+    for i in range(n):
+        span = 1 << (i + 1)
+        m = (1 << (1 << i)) - 1
+        while span < size:
+            m |= m << span
+            span <<= 1
+        masks.append(m)
+    return tuple(masks)
 
 
 def translate_bits(bits: int, x: int, n: int) -> int:
     """Characteristic vector of {y ^ x : y in bits}."""
     _check_mask(x, n)
+    lows = _low_masks(n)
     i = 0
     while x:
         if x & 1:
             s = 1 << i
-            low = _low_mask(n, i)
+            low = lows[i]
             bits = ((bits & low) << s) | ((bits >> s) & low)
         x >>= 1
         i += 1
@@ -380,34 +385,40 @@ def components(family: Family) -> List[Family]:
     ]
 
 
-def _neighbor_bits(bits: int, n: int) -> int:
-    """Characteristic vector of all Q_n neighbors of a vertex set."""
-    out = 0
-    for i in range(n):
-        s = 1 << i
-        low = _low_mask(n, i)
-        out |= ((bits & low) << s) | ((bits >> s) & low)
-    return out
-
-
-def flood_component_sizes(bits: int, n: int) -> List[int]:
+def flood_component_sizes(
+    bits: int, n: int, limit: Optional[int] = None
+) -> List[int]:
     """Component sizes by word-parallel flood fill.
 
     Fast when components have small graph diameter (each round grows the
-    current component by one neighborhood layer); used by the exhaustive
-    integrity oracle and the middle-layer baseline.
+    current component by one neighborhood layer); used by the exact
+    integrity oracle and the middle-layer baseline.  With a `limit`, the
+    fill gives up as soon as the component it is growing has more than
+    `limit` vertices, and the list then ends in `limit + 1`.
     """
+    lows = _low_masks(n)
+    cap = bits.bit_count() if limit is None else limit
     sizes = []
     rem = bits
     while rem:
         comp = rem & -rem
-        while True:
-            grown = (comp | _neighbor_bits(comp, n)) & rem
+        size = 1
+        while size <= cap:
+            grown = comp
+            s = 1
+            for low in lows:
+                grown |= ((comp & low) << s) | ((comp >> s) & low)
+                s <<= 1
+            grown &= rem
             if grown == comp:
                 break
             comp = grown
-        sizes.append(comp.bit_count())
-        rem &= ~comp
+            size = comp.bit_count()
+        if size > cap:
+            sizes.append(cap + 1)
+            return sizes
+        sizes.append(size)
+        rem ^= comp
     return sizes
 
 

@@ -337,26 +337,35 @@ def verify_certificate(cert: IntegrityCertificate) -> int:
 
 
 def exact_integrity(n: int) -> int:
-    """I(Q_n) by exhausting removal sets in increasing size.
+    """I(Q_n): the least |S| + (largest component of Q_n - S) over all S.
 
-    Every candidate of size s scores at least s+1 while vertices remain,
-    so sizes at or past the incumbent are skipped entirely.
+    Two prunes keep the search exact.  Translating by x is an automorphism
+    of Q_n, so S and S ^ x score alike; every non-empty S has a translate
+    through one of its members that contains vertex 0, and only those are
+    scored.  The empty set scores 2^n, which is the starting incumbent.
+    A set of size s can only beat the incumbent `best` if every component
+    has at most best - s - 1 vertices, so the flood gives up as soon as
+    the component it grows passes that, and sizes with s + 1 >= best are
+    skipped entirely.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got n={n}")
     if n > 4:
         raise BudgetError(
-            f"exact integrity enumerates 2^(2^n) removal sets; n={n} is "
-            f"over the n <= 4 guard"
+            f"exact integrity searches the removal sets through vertex 0, "
+            f"2^(2^n - 1) of them; n={n} is over the n <= 4 guard"
         )
     size = 1 << n
     full = (1 << size) - 1
-    best = size  # removing everything
-    for s in range(size):
+    best = size
+    for s in range(1, size):
         if s + 1 >= best:
             break
-        for v in _gosper(size, s):
-            best = min(best, s + max(flood_component_sizes(full ^ v, n)))
+        for v in _gosper(size - 1, s - 1):
+            limit = best - s - 1
+            largest = max(flood_component_sizes(full ^ (v << 1 | 1), n, limit))
+            if largest <= limit:
+                best = s + largest
     return best
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cube import Family, _low_mask, binom_leq
+from .cube import Family, _low_masks, binom_leq
 from .errors import DomainError
 
 # Widest n for which the dense all-subsets projection table is built;
@@ -21,7 +21,7 @@ _DENSE_LIMIT = 12
 
 def _project(bits: int, n: int, i: int) -> int:
     s = 1 << i
-    low = _low_mask(n, i)
+    low = _low_masks(n)[i]
     return bits | ((bits & low) << s) | ((bits >> s) & low)
 
 
@@ -61,7 +61,7 @@ def _shattered_dense(family: Family) -> int:
     n = family.n
     size = 1 << n
     full = (1 << size) - 1
-    lows = [_low_mask(n, i) for i in range(n)]
+    lows = _low_masks(n)
     proj = [0] * size
     proj[0] = family.bits
     for t in range(1, size):

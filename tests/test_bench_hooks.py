@@ -39,9 +39,11 @@ def test_layer_patches_find_every_traced_name(capsys, tmp_path):
         assert main(["count", "conn", "3", "2"]) == 0
         assert main(["count", "exvc", "3", "1"]) == 0
         assert main(["count", "m", "3", "1"]) == 0
+        assert vcube.integrity.exact_integrity(3) == 5
     capsys.readouterr()
     # the wrappers sit on the names the library calls through
     for name in ("integrity.peel", "integrity.verify", "integrity.cert_io",
                  "cube.translate", "cube.components", "counting.conn",
-                 "counting.exvc", "counting.m", "vc.shattered"):
+                 "counting.exvc", "counting.m", "vc.shattered",
+                 "integrity.exact", "cube.flood"):
         assert tracer.calls[name] > 0, name

@@ -369,13 +369,16 @@ class TestSweepCommand:
             ["bounds", "8..16", "--epsilon", "nan"],
             ["bounds", "8..16", "--epsilon", "1/0"],
             ["bounds", "8..16", "--epsilon", "1e999"],
+            ["bounds", "8..9", "--epsilon", "1e999999999"],
+            ["bounds", "8..9", "--epsilon", "1e-999999999"],
             ["lemma", "8..1000000000000000000000:1"],
             ["lemma", "0..16"],
             ["lemma", "--", "-4..16:x2"],
         ],
         ids=[
             "no_dots", "step_xa", "step_abc", "epsilon_abc", "epsilon_nan",
-            "epsilon_div0", "epsilon_1e999", "too_long", "x2_from_0",
+            "epsilon_div0", "epsilon_1e999", "epsilon_1e999999999",
+            "epsilon_1e-999999999", "too_long", "x2_from_0",
             "x2_from_negative",
         ],
     )

@@ -151,6 +151,19 @@ class TestComponents:
             bfs = sorted(len(c) for c in components(fam))
             assert flood == bfs
 
+    def test_bounded_flood_stops_past_the_limit(self):
+        rng = random.Random(15)
+        for n in range(1, 7):
+            for _ in range(8):
+                fam = random_family(rng, n)
+                unbounded = flood_component_sizes(fam.bits, n)
+                for limit in range(2**n + 1):
+                    sizes = flood_component_sizes(fam.bits, n, limit)
+                    if limit >= max(unbounded):
+                        assert sizes == unbounded
+                    else:
+                        assert max(sizes) == sizes[-1] == limit + 1
+
 
 class TestBinomials:
     def test_binom_leq_examples(self):

@@ -281,7 +281,7 @@ class TestExactIntegrity:
         assert exact_integrity(4) == 9
 
     def test_against_reference_live(self):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             assert exact_integrity(n) == ref.integrity(n)
 
     def test_halfcube_conjecture_value_is_an_upper_bound(self):
