@@ -198,9 +198,10 @@ def exact_exvc(
     Counted by restriction and reduction like exact_m.  A family C on
     [n] has halves C0 and C1 along coordinate n, restriction R = C0 | C1
     and reduction T = C0 & C1, and sh(C) is sh(R) plus S+n for every S
-    in sh(C0) & sh(C1).  Since |sh(X)| >= |X| and sh(T) lies inside
-    both, |sh(C)| >= |sh(R)| + |sh(T)| >= |R| + |T| = |C|, with equality,
-    that is C extremal, iff R and T are extremal (T may be empty) and
+    in sh(C0) & sh(C1); `vc.shattered_sets` computes sh by the same
+    identity.  Since |sh(X)| >= |X| and sh(T) lies inside both,
+    |sh(C)| >= |sh(R)| + |sh(T)| >= |R| + |T| = |C|, with equality, that
+    is C extremal, iff R and T are extremal (T may be empty) and
     sh(C0) & sh(C1) = sh(T).  Then sh(C) is sh(R) plus sh(T)+n, so
     vc(C) = max(vc(R), vc(T) + 1), and a pair over dimension k is
     skipped before its lifts are examined.

@@ -173,7 +173,7 @@ class Family:
     matching ambient dimension.
     """
 
-    __slots__ = ("n", "bits", "_size")
+    __slots__ = ("n", "bits")
 
     def __init__(self, n: int, bits: int = 0):
         _check_dim(n, allow_zero=True)
@@ -181,7 +181,6 @@ class Family:
             raise DomainError(f"characteristic vector does not fit 2^{n} bits")
         self.n = n
         self.bits = bits
-        self._size = None
 
     @classmethod
     def empty(cls, n: int) -> "Family":
@@ -202,9 +201,7 @@ class Family:
 
     @property
     def size(self) -> int:
-        if self._size is None:
-            self._size = self.bits.bit_count()
-        return self._size
+        return self.bits.bit_count()
 
     def __len__(self) -> int:
         return self.size
@@ -507,14 +504,19 @@ def _hex_family(digits: str, n: int, lineno: int) -> Family:
         raise ParseError(str(exc), lineno=lineno) from None
 
 
+def _hex_digits(family: Family) -> str:
+    """The hex characteristic vector that `_hex_family` reads back: two
+    digits per byte of the 2^n-bit vector, zero-padded."""
+    return f"{family.bits:0{_byte_len(family.n) * 2}x}"
+
+
 def family_to_text(family: Family, style: str = "bits") -> str:
     header = f"n={family.n}"
     if style == "bits":
         lines = [format_mask(m, family.n) for m in family]
         return "\n".join([header] + lines) + "\n"
     if style == "hex":
-        width = max(1, _byte_len(family.n) * 2)
-        return f"{header}\nhex={family.bits:0{width}x}\n"
+        return f"{header}\nhex={_hex_digits(family)}\n"
     raise DomainError(f"unknown family serialization style {style!r}")
 
 

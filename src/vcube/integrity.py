@@ -24,9 +24,9 @@ from typing import List, Optional, Sequence, Tuple
 from .cube import (
     Family,
     _ball_bits,
-    _byte_len,
     _component_index_lists,
     _gosper,
+    _hex_digits,
     _hex_family,
     _layer_bits,
     binom_leq,
@@ -450,8 +450,7 @@ def certificate_to_text(cert: IntegrityCertificate) -> str:
             f"{i} {format_mask(s.center, cert.n)} "
             f"{s.ball_hits} {s.sphere_hits}"
         )
-    width = max(1, _byte_len(cert.n) * 2)
-    lines.append(f"separator={cert.separator.bits:0{width}x}")
+    lines.append(f"separator={_hex_digits(cert.separator)}")
     lines.append(f"value={cert.value}")
     return "\n".join(lines) + "\n"
 

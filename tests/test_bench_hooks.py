@@ -6,6 +6,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import vcube
 from vcube.cli import main
 
@@ -24,10 +26,14 @@ def _load_tracing():
     return module
 
 
+def _modules():
+    return {m: getattr(vcube, m)
+            for m in ("cube", "vc", "matchings", "counting", "integrity")}
+
+
 def test_layer_patches_find_every_traced_name(capsys, tmp_path):
     tracing = _load_tracing()
-    mods = {m: getattr(vcube, m)
-            for m in ("cube", "vc", "matchings", "counting", "integrity")}
+    mods = _modules()
     tracer = tracing.Tracer()
     patches = tracing.layer_patches(tracer, mods)
     for module, attr, _ in patches:
@@ -47,3 +53,18 @@ def test_layer_patches_find_every_traced_name(capsys, tmp_path):
                  "counting.exvc", "counting.m", "vc.shattered",
                  "integrity.exact", "cube.flood"):
         assert tracer.calls[name] > 0, name
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["count", "m", "3", "1"], 17),
+    (["count", "exvc", "3", "1"], 21),
+])
+def test_shattered_calls_are_the_public_calls(capsys, argv, calls):
+    # the bench derives the counting.* counters from vc.shattered calls,
+    # so recursion inside vc must not go through the wrapped public name
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.patched(tracing.layer_patches(tracer, _modules())):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert tracer.calls["vc.shattered"] == calls

@@ -53,6 +53,17 @@ class TestVcCommand:
         assert code == 0
         assert kv(out)["vc"] == "0"
 
+    def test_hex_middle_layer_of_q18(self, capsys, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text(family_to_text(layer(18, 9), "hex"))
+        code, out, _ = run_cli(capsys, "vc", str(path))
+        pairs = kv(out)
+        assert code == 0
+        assert pairs["vc"] == "9"
+        assert pairs["shattered"] == "155382"
+        assert pairs["extremal"] == "false"
+        assert pairs["maximal"] == "false"
+
     def test_malformed_bitstring_exits_2(self, capsys, tmp_path):
         path = tmp_path / "fam.txt"
         path.write_text("n=3\n01\n")

@@ -8,6 +8,7 @@ from util import random_downset, random_family, to_ref
 from vcube import (
     DomainError,
     Family,
+    ball,
     binom_leq,
     is_extremal,
     is_maximal,
@@ -18,7 +19,6 @@ from vcube import (
     vc_dim,
     vc_report,
 )
-from vcube.vc import _shattered_dense, _shattered_pruned
 
 
 def family_of(n, *element_sets):
@@ -104,12 +104,22 @@ class TestShatteredSets:
             sh_g = shattered_sets(g)
             assert len(sh_f - sh_g) == 0
 
-    def test_dense_and_pruned_paths_agree(self):
+    def test_agrees_with_the_single_set_test(self):
         rng = random.Random(24)
-        for _ in range(40):
-            n = rng.randrange(1, 7)
-            fam = random_family(rng, n)
-            assert _shattered_dense(fam) == _shattered_pruned(fam)
+        for n in range(1, 14):
+            for halvings in range(4):  # densities 1/2, 1/4, 1/8, 1/16
+                bits = rng.getrandbits(1 << n)
+                for _ in range(halvings):
+                    bits &= rng.getrandbits(1 << n)
+                fam = Family(n, bits)
+                want = sum(1 << s for s in range(1 << n) if shatters(fam, s))
+                assert shattered_sets(fam).bits == want, (n, halvings)
+
+    @pytest.mark.parametrize("n", [16, 18, 20])
+    def test_closed_forms_in_high_dimension(self, n):
+        for k in (1, 2, n // 2):
+            assert shattered_sets(layer(n, k)) == ball(n, 0, min(k, n - k))
+            assert shattered_sets(ball(n, 0, k)) == ball(n, 0, k)
 
 
 class TestVcDim:
