@@ -4,13 +4,16 @@ The radius r0 = floor(n/2 - alpha*sqrt(n)) comes from solving
 exp(-2*alpha^2)/alpha = sqrt(ln n)/sqrt(n).  Peeling repeatedly picks a
 center whose radius-r0 sphere is cheap relative to its ball within the
 still-alive family, removes the ball, and charges only the sphere to the
-separator.  Each choice's census XOR-translates the alive vector once
-per sampled center, along a nearest-neighbour walk of the centers, and
-popcounts it against the ball and sphere around 0.  A certificate
-stores the transcript (centers and their ball/sphere counts), the
-separator and the claimed value; the audit replays it with the peel's
-own step function, re-deriving every count and separator bit, and
-derives the separator size and largest component.
+separator.  Each choice's census splits the alive vector into blocks
+on its top coordinates, once per step: a sampled center reads the
+blocks within Hamming distance r0 of its top part by list index, and
+popcounts each against a ball around its low part, a mask translated
+once per peel.  The largest component of the cube minus the separator
+is C(n, <= r0-1), in closed form.  A certificate stores the transcript
+(centers and their ball/sphere counts), the separator and the claimed
+value; the audit replays it with the peel's own step function,
+re-deriving every count and separator bit, and recomputes the largest
+component by BFS.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cube import (
     Family,
@@ -158,12 +161,36 @@ def census(family: Family, x: int, r0: int) -> Tuple[int, int]:
     return _peel_step(family.bits, x, n, r0)[2:]
 
 
+def _block_split(n: int) -> Tuple[int, int]:
+    """(h, L) with h + L = n: the census reads 2^h blocks of 2^L bits.
+
+    L <= 10 bounds the peel's mask memo; h >= 1 keeps every mask
+    translate below dimension n.
+    """
+    h = max(n // 3, n - 10, 1)
+    return h, n - h
+
+
+def _blocks(bits: int, h: int, low: int) -> List[int]:
+    """Block i of the 2^(h+low)-bit vector: its bits [i*2^low, (i+1)*2^low)."""
+    if low < 3:  # a block is under one byte
+        full = (1 << (1 << low)) - 1
+        return [bits >> (i << low) & full for i in range(1 << h)]
+    size = 1 << (low - 3)
+    data = memoryview(bits.to_bytes(size << h, "little"))
+    return [
+        int.from_bytes(data[i : i + size], "little")
+        for i in range(0, size << h, size)
+    ]
+
+
 def _choose_center(
     alive: int,
     n: int,
     r0: int,
     samples: int,
     rng: random.Random,
+    masks: Dict[int, Tuple[int, ...]],
 ) -> int:
     """Argmin of sphere/ball over sampled centers plus one member of F.
 
@@ -171,28 +198,46 @@ def _choose_center(
     center always removes at least one vertex; ties break toward the
     numerically smallest mask.  Ratios compare exactly, in integers.
 
-    The census visits the pool in a greedy nearest-neighbour walk from 0
-    and shifts the previous candidate's translate by the hop x ^ prev,
-    since T_y(T_x(A)) = T_(x^y)(A): one translate per candidate, each
-    costing popcount(hop) shift rounds instead of popcount(x).  The key
-    ends in x, so only copies of one center tie, and the visiting order
-    cannot change the winner.
+    The census is a block census.  With n = h + L (`_block_split`), the
+    alive vector splits once per call into 2^h blocks of 2^L bits, block
+    yh holding the vertices (yh, yl).  A center x = (xh, xl) meets block
+    xh ^ e, for |e| = d <= r0, in the radius-(r0 - d) ball around xl in
+    Q_L.  So the high part is a list index and the low part a mask:
+    b is the sum of popcount(block & T_xl(B_L(r0 - d))), and the sphere
+    count is b minus the same sum at radius r0 - 1.  No 2^n-bit vector
+    is translated per candidate.
+
+    `masks` maps xl to (T_xl(B_L(r)) for r = 0..r0).  The peel passes one
+    dict for its whole run, so each xl is translated once per peel: at
+    most 2^10 * (r0 + 1) ints of 2^10 bits, about 1 MiB at n = 18.
+    The key ends in x, so only copies of one center tie, and the order
+    in which the pool is scored cannot change the winner.
     """
-    ball0 = _ball_bits(n, r0)
-    sphere0 = _layer_bits(n, r0)
     pool = [rng.getrandbits(n) for _ in range(samples)]
     pool.append(Family(n, alive).select(rng.randrange(alive.bit_count())))
+    h, low = _block_split(n)
+    blocks = _blocks(alive, h, low)
+    rings = [list(_gosper(h, d)) for d in range(min(r0, h) + 1)]
     best = None
-    prev, shifted = 0, alive
-    while pool:
-        x = min(pool, key=lambda y: (y ^ prev).bit_count())
-        pool.remove(x)
-        shifted = translate_bits(shifted, x ^ prev, n)
-        prev = x
-        b = (shifted & ball0).bit_count()
-        s = (shifted & sphere0).bit_count()
-        if best is None or _ranks_before(b, s, x, best):
-            best = b, s, x
+    for x in pool:
+        xh, xl = x >> low, x & ((1 << low) - 1)
+        balls = masks.get(xl)
+        if balls is None:
+            full = (1 << (1 << low)) - 1
+            balls = masks[xl] = tuple(
+                translate_bits(_ball_bits(n, r) & full, xl, low)
+                for r in range(r0 + 1)
+            )
+        b = inner = 0
+        for d, ring in enumerate(rings):
+            outer = balls[r0 - d]
+            inside = balls[r0 - d - 1] if d < r0 else 0
+            for e in ring:
+                block = blocks[xh ^ e]
+                b += (block & outer).bit_count()
+                inner += (block & inside).bit_count()
+        if best is None or _ranks_before(b, b - inner, x, best):
+            best = b, b - inner, x
     return best[2]
 
 
@@ -215,9 +260,11 @@ def choose_center(
     """Public face of the center chooser: returns the winning mask."""
     if not family.bits:
         raise DomainError("cannot choose a center for the empty family")
+    if not 0 <= r0 <= family.n:
+        raise DomainError(f"radius r0={r0} outside [0, {family.n}]")
     if rng is None:
         rng = random.Random(cfg.seed)
-    return _choose_center(family.bits, family.n, r0, cfg.samples, rng)
+    return _choose_center(family.bits, family.n, r0, cfg.samples, rng, {})
 
 
 def _peel_step(alive: int, x: int, n: int, r0: int) -> Tuple[int, ...]:
@@ -241,6 +288,17 @@ def peel(n: int, cfg: PeelConfig = PeelConfig()) -> IntegrityCertificate:
     Deterministic for a fixed (n, cfg): one RNG seeded once drives every
     sampling decision.  The per-step ball removals partition the cube, so
     the loop terminates after at most 2^n steps.
+
+    The largest component of Q_n minus the separator is C(n, <= r0-1),
+    or 0 when r0 = 0.  A vertex v off the separator leaves at the step j
+    whose ball takes it, inside the interior I_j = B(x_j, r0-1) ∩ alive_j.
+    A neighbour u of v lies within r0 of x_j.  If u is alive at step j,
+    that step takes u too, into I_j or onto the separator.  If u left
+    earlier, at step i, and were off the separator, it would lie in I_i
+    and step i would have taken its neighbour v.  So every component lies
+    inside one interior, of at most C(n, <= r0-1) vertices; step 0's
+    interior is a whole Hamming ball, connected and off the separator,
+    and attains that.  The audit recomputes this value by BFS.
     """
     if n < 3:
         raise DomainError(f"peeling needs n >= 3, got n={n}")
@@ -249,16 +307,17 @@ def peel(n: int, cfg: PeelConfig = PeelConfig()) -> IntegrityCertificate:
     params = solve_radius(n)
     r0 = params.r0
     rng = random.Random(cfg.seed)
-    alive = full = (1 << (1 << n)) - 1
+    alive = (1 << (1 << n)) - 1
     sep = 0
     steps: List[PeelStep] = []
+    masks: Dict[int, Tuple[int, ...]] = {}
     while alive:
-        x = _choose_center(alive, n, r0, cfg.samples, rng)
+        x = _choose_center(alive, n, r0, cfg.samples, rng, masks)
         alive, sphere, ball_hits, sphere_hits = _peel_step(alive, x, n, r0)
         sep |= sphere
         steps.append(PeelStep(x, ball_hits, sphere_hits))
     separator = Family(n, sep)
-    max_comp = _max_component_via_bfs(sep ^ full, n)
+    max_comp = binom_leq(n, r0 - 1) if r0 else 0
     return IntegrityCertificate(
         params, cfg, tuple(steps), separator, separator.size + max_comp
     )

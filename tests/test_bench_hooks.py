@@ -1,28 +1,45 @@
 """The benchmark's layer tracing looks vcube names up by attribute; a
 rename under src/ must fail here rather than break `bench/run.py
---trace 1` silently."""
+--trace 1` silently.  The benchmark's tampered certificates are checked
+here too, where one of them is in fact valid."""
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
 import vcube
+from vcube import (
+    Family,
+    PeelConfig,
+    ball,
+    certificate_from_text,
+    certificate_to_text,
+    components,
+    peel,
+    sphere,
+    verify_certificate,
+)
 from vcube.cli import main
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", BENCH / f"{name}.py"
+    )
     module = importlib.util.module_from_spec(spec)
     flag = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave bench/ exactly as committed
+    sys.modules[spec.name] = module  # dataclasses look their module up
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = flag
+        del sys.modules[spec.name]
     return module
 
 
@@ -32,7 +49,7 @@ def _modules():
 
 
 def test_layer_patches_find_every_traced_name(capsys, tmp_path):
-    tracing = _load_tracing()
+    tracing = _load_bench("tracing")
     mods = _modules()
     tracer = tracing.Tracer()
     patches = tracing.layer_patches(tracer, mods)
@@ -62,9 +79,38 @@ def test_layer_patches_find_every_traced_name(capsys, tmp_path):
 def test_shattered_calls_are_the_public_calls(capsys, argv, calls):
     # the bench derives the counting.* counters from vc.shattered calls,
     # so recursion inside vc must not go through the wrapped public name
-    tracing = _load_tracing()
+    tracing = _load_bench("tracing")
     tracer = tracing.Tracer()
     with tracing.patched(tracing.layer_patches(tracer, _modules())):
         assert main(argv) == 0
     capsys.readouterr()
     assert tracer.calls["vc.shattered"] == calls
+
+
+@pytest.mark.parametrize("seed", [31, 108])
+def test_move_center_tamper_can_be_valid(seed):
+    # The bench's move_center tamper flips one bit of one recorded center.
+    # At n=12 and these seeds the moved center meets the alive set in the
+    # same ball and sphere vertices, so the tampered certificate is valid:
+    # the audit is right to accept it, and the bench counts a failed op.
+    workloads = _load_bench("workloads")
+    n = 12
+    text = certificate_to_text(peel(n, PeelConfig(seed=seed)))
+    rng = random.Random(f"tamper {seed} {n}")  # the bench's draws, in order
+    for kind in workloads.TAMPER_KINDS:
+        bad = workloads.tamper(text, kind, rng)
+        if kind == "move_center":
+            break
+    assert bad != text
+    cert = certificate_from_text(bad)
+    r0 = cert.params.r0
+    alive, sep = Family.full(n), Family.empty(n)
+    for step in cert.steps:
+        taken = ball(n, step.center, r0) & alive
+        charged = sphere(n, step.center, r0) & alive
+        assert (len(taken), len(charged)) == (step.ball_hits, step.sphere_hits)
+        alive, sep = alive - taken, sep | charged
+    assert not alive and sep == cert.separator
+    largest = max(map(len, components(sep.complement())))
+    assert cert.value == len(sep) + largest
+    assert verify_certificate(cert) == cert.value

@@ -30,7 +30,11 @@ from vcube import (
     translate_bits,
     verify_certificate,
 )
-from vcube.integrity import _radius_gap
+from vcube.integrity import (
+    _block_split,
+    _max_component_via_bfs,
+    _radius_gap,
+)
 
 
 class TestSolveRadius:
@@ -132,52 +136,88 @@ class TestChooseCenter:
 
     def test_argmin_over_the_sampled_pool(self):
         # replay the exact pool the chooser saw and re-minimize by hand,
-        # over dense families and ones with only a handful of members;
-        # at n=4, 32 samples cannot all differ, so pools repeat a center
+        # over dense families and ones with only a handful of members,
+        # whose census blocks are mostly empty; the radii take 0, the
+        # top part h and the low part L of the block split, and one draw;
+        # at small n, 32 samples cannot all differ, so pools repeat a center
         rng = random.Random(45)
         repeats = 0
-        for n in range(4, 11):
-            for samples in (8, 32):
-                for sparse in (False, True):
-                    if sparse:
-                        k = rng.randrange(1, 6)
-                        fam = Family.from_masks(n, rng.sample(range(1 << n), k))
-                    else:
-                        fam = Family(n, rng.getrandbits(1 << n) | 1)
-                    r0 = rng.randrange(1, n // 2 + 1)
-                    seed = rng.randrange(1000)
-                    cfg = PeelConfig(samples=samples, seed=seed)
-                    picked = choose_center(fam, r0, cfg)
-                    replay = random.Random(seed)
-                    pool = [replay.getrandbits(n) for _ in range(samples)]
-                    pool.append(list(fam)[replay.randrange(len(fam))])
-                    repeats += len(set(pool)) < len(pool)
-                    best = None
-                    for x in pool:
-                        b, s = census(fam, x, r0)
-                        key = (b == 0, Fraction(s, b if b else 1), x)
-                        if best is None or key < best:
-                            best = key
-                    assert picked == best[2]
+        for n in range(1, 15):
+            h, low = _block_split(n)
+            for r0 in sorted({0, h, low, rng.randrange(n + 1)}):
+                for samples in (0, 8, 32):
+                    for sparse in (False, True):
+                        if sparse:
+                            k = rng.randrange(1, min(6, 1 << n) + 1)
+                            members = rng.sample(range(1 << n), k)
+                            fam = Family.from_masks(n, members)
+                        else:
+                            fam = Family(n, rng.getrandbits(1 << n) | 1)
+                        seed = rng.randrange(1000)
+                        cfg = PeelConfig(samples=samples, seed=seed)
+                        picked = choose_center(fam, r0, cfg)
+                        replay = random.Random(seed)
+                        pool = [replay.getrandbits(n) for _ in range(samples)]
+                        pool.append(list(fam)[replay.randrange(len(fam))])
+                        repeats += len(set(pool)) < len(pool)
+                        best = None
+                        for x in pool:
+                            b, s = census(fam, x, r0)
+                            key = (b == 0, Fraction(s, b if b else 1), x)
+                            if best is None or key < best:
+                                best = key
+                        assert picked == best[2], (n, r0, samples, sparse)
         assert repeats >= 2
 
-    def test_one_translate_per_candidate(self, monkeypatch):
+    def test_block_split_bounds_the_memo(self):
+        for n in range(1, 29):
+            h, low = _block_split(n)
+            assert h >= 1 and 0 <= low <= 10 and h + low == n
+
+    def test_no_translate_at_full_dimension(self, monkeypatch):
+        # the census indexes blocks by the top coordinates and masks the
+        # low ones, so the only vectors it translates are L-bit masks
+        import vcube.integrity as integ
+
+        dims = []
+
+        def recording(bits, x, n):
+            dims.append(n)
+            return translate_bits(bits, x, n)
+
+        monkeypatch.setattr(integ, "translate_bits", recording)
+        rng = random.Random(47)
+        for n in range(1, 13):
+            dense = Family(n, rng.getrandbits(1 << n) | 1)
+            sparse = Family.from_masks(n, [rng.getrandbits(n)])
+            for fam in (dense, sparse):
+                for samples in (0, 8, 32):
+                    dims.clear()
+                    cfg = PeelConfig(samples=samples, seed=3)
+                    choose_center(fam, n // 2, cfg)
+                    assert dims and max(dims) < n, (n, samples)
+
+    def test_peel_translates_each_low_mask_once(self, monkeypatch):
+        # the mask memo lives for the whole peel: every (mask, xl) pair is
+        # translated once, and only the step itself works at dimension n
         import vcube.integrity as integ
 
         calls = []
 
-        def counting(bits, x, n):
-            calls.append(x)
+        def recording(bits, x, n):
+            calls.append((bits, x, n))
             return translate_bits(bits, x, n)
 
-        monkeypatch.setattr(integ, "translate_bits", counting)
-        dense = Family(8, random.Random(47).getrandbits(256) | 1)
-        sparse = Family.from_masks(8, [5, 200])
-        for fam in (dense, sparse):
-            for samples in (0, 8, 32):
-                calls.clear()
-                choose_center(fam, 2, PeelConfig(samples=samples, seed=3))
-                assert len(calls) == samples + 1
+        monkeypatch.setattr(integ, "translate_bits", recording)
+        n = 12
+        cert = peel(n)
+        low = [c for c in calls if c[2] < n]
+        assert len(low) == len(set(low))
+        assert sum(c[2] == n for c in calls) == 2 * len(cert.steps)
+
+    def test_radius_outside_the_cube_rejected(self):
+        with pytest.raises(DomainError, match="radius"):
+            choose_center(Family.full(4), 5, PeelConfig())
 
     def test_empty_family_rejected(self):
         with pytest.raises(DomainError):
@@ -207,6 +247,19 @@ class TestPeel:
         for n in (3, 4):
             cert = peel(n)
             assert cert.value >= exact_integrity(n)
+
+    def test_component_has_its_closed_form(self):
+        # every component lies in one step's interior B(x_j, r0-1), and
+        # step 0's interior is a whole ball; BFS is the second route
+        for n in range(3, 15):
+            r0 = solve_radius(n).r0
+            want = binom_leq(n, r0 - 1) if r0 else 0
+            full = (1 << (1 << n)) - 1
+            for seed in range(5):
+                cert = peel(n, PeelConfig(seed=seed))
+                assert cert.max_component == want, (n, seed)
+                rest = cert.separator.bits ^ full
+                assert _max_component_via_bfs(rest, n) == want, (n, seed)
 
     def test_step_count_bounded(self):
         cert = peel(8)
@@ -238,8 +291,9 @@ class TestVerify:
 
     def test_wrong_value_caught(self):
         cert = peel(8)
-        with pytest.raises(VerificationError, match="value"):
-            verify_certificate(replace(cert, value=cert.value + 1))
+        for delta in (-1, 1):
+            with pytest.raises(VerificationError, match="value"):
+                verify_certificate(replace(cert, value=cert.value + delta))
 
     def test_corrupt_ball_count_caught(self):
         cert = peel(8)
