@@ -377,6 +377,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
+    # No argument takes nargs, yet argparse strips a "--" given as a
+    # positional's value after a "--" separator and hands over [] instead.
+    if any(isinstance(v, list) for v in vars(args).values()):
+        print("vcube: input error: a positional argument is missing its "
+              "value after '--'", file=sys.stderr)
+        return EXIT_INPUT
     cap = cube.max_dim()
     try:
         if args.max_n is not None:

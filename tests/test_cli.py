@@ -385,12 +385,13 @@ class TestSweepCommand:
             ["lemma", "8..1000000000000000000000:1"],
             ["lemma", "0..16"],
             ["lemma", "--", "-4..16:x2"],
+            ["lemma", "--", "--"],
         ],
         ids=[
             "no_dots", "step_xa", "step_abc", "epsilon_abc", "epsilon_nan",
             "epsilon_div0", "epsilon_1e999", "epsilon_1e999999999",
             "epsilon_1e-999999999", "too_long", "x2_from_0",
-            "x2_from_negative",
+            "x2_from_negative", "range_is_dashes",
         ],
     )
     def test_bad_range_exits_2(self, capsys, argv):
@@ -453,6 +454,11 @@ class TestUsageErrors:
     def test_unknown_count_kind(self, capsys):
         code, _, _ = run_cli(capsys, "count", "zeta", "3", "1")
         assert code == 2
+
+    def test_dashes_as_an_int_value_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "count", "m", "3", "--", "--")
+        assert code == 2
+        assert "input error" in err
 
     def test_max_n_flag_lowers_the_cap(self, capsys):
         import vcube.cube as cube
