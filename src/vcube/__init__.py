@@ -81,6 +81,7 @@ from .integrity import (
     choose_center,
     density_audit,
     exact_integrity,
+    integrity_lower_bound,
     middle_layer_baseline,
     peel,
     solve_radius,

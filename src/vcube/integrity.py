@@ -4,16 +4,19 @@ The radius r0 = floor(n/2 - alpha*sqrt(n)) comes from solving
 exp(-2*alpha^2)/alpha = sqrt(ln n)/sqrt(n).  Peeling repeatedly picks a
 center whose radius-r0 sphere is cheap relative to its ball within the
 still-alive family, removes the ball, and charges only the sphere to the
-separator.  Each choice's census splits the alive vector into blocks
-on its top coordinates, once per step: a sampled center reads the
-blocks within Hamming distance r0 of its top part by list index, and
-popcounts each against a ball around its low part, a mask translated
-once per peel.  The largest component of the cube minus the separator
-is C(n, <= r0-1), in closed form.  A certificate stores the transcript
-(centers and their ball/sphere counts), the separator and the claimed
-value; the audit replays it with the peel's own step function,
-re-deriving every count and separator bit, and recomputes the largest
-component by BFS.
+separator.  The alive set and the separator live as lists of blocks on
+the top coordinates for the whole peel (`_BlockState`), split once at
+the start and joined once at the end.  A center's census and its
+removal read the blocks within Hamming distance r0 of its top part by
+list index and meet each with a ball around its low part, a mask of at
+most 2^10 bits translated once per peel; the member draw finds its
+block from per-block popcounts.  No 2^n-bit vector is translated.  The
+largest component of the cube minus the separator is C(n, <= r0-1), in
+closed form.  A certificate stores the transcript (centers and their
+ball/sphere counts), the separator and the claimed value.  The audit
+checks the value against `integrity_lower_bound`, replays the transcript
+with the peel's own block step, re-deriving every count and separator
+bit, and recomputes the largest component by BFS.
 """
 
 from __future__ import annotations
@@ -21,17 +24,19 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cube import (
     Family,
     _ball_bits,
+    _check_mask,
     _component_index_lists,
     _gosper,
     _hex_digits,
     _hex_family,
-    _layer_bits,
     binom_leq,
     flood_component_sizes,
     format_mask,
@@ -158,11 +163,12 @@ def census(family: Family, x: int, r0: int) -> Tuple[int, int]:
     n = family.n
     if not 0 <= r0 <= n:
         raise DomainError(f"radius r0={r0} outside [0, {n}]")
-    return _peel_step(family.bits, x, n, r0)[2:]
+    _check_mask(x, n)
+    return _BlockState(family.bits, n, r0).census(x)
 
 
 def _block_split(n: int) -> Tuple[int, int]:
-    """(h, L) with h + L = n: the census reads 2^h blocks of 2^L bits.
+    """(h, L) with h + L = n: the peel keeps 2^h blocks of 2^L bits.
 
     L <= 10 bounds the peel's mask memo; h >= 1 keeps every mask
     translate below dimension n.
@@ -184,13 +190,119 @@ def _blocks(bits: int, h: int, low: int) -> List[int]:
     ]
 
 
+def _join(blocks: List[int], low: int) -> int:
+    """The vector whose blocks of 2^low bits are `blocks`; undoes `_blocks`."""
+    if low < 3:
+        bits = 0
+        for i, block in enumerate(blocks):
+            bits |= block << (i << low)
+        return bits
+    size = 1 << (low - 3)
+    return int.from_bytes(
+        b"".join(block.to_bytes(size, "little") for block in blocks), "little"
+    )
+
+
+class _BlockState:
+    """A vertex set of Q_n and its separator, as 2^h blocks of 2^L bits.
+
+    With n = h + L (`_block_split`), block yh holds the vertices (yh, yl).
+    A center x = (xh, xl) meets block xh ^ e, for |e| = d <= r0, in the
+    radius-(r0 - d) ball around xl in Q_L, and its radius-r0 sphere in
+    that ball minus the radius-(r0 - d - 1) one.  So the high part is a
+    list index and the low part a mask, T_xl(B_L(r)), where B_L(r) is
+    `_ball_bits(n, r)` masked to 2^L bits: no 2^n-bit vector is split,
+    translated or searched after construction.
+
+    `masks` maps xl to (T_xl(B_L(r)) for r = 0..r0), filled on first use,
+    so each xl is translated once per state: at most 2^10 * (r0 + 1) ints
+    of 2^10 bits, about 1 MiB at n = 18.  `rings[d]` lists the h-bit e
+    with |e| = d.  `counts` holds each block's popcount and `size` their
+    sum; `sep` holds the separator's blocks.
+    """
+
+    __slots__ = ("n", "r0", "low", "blocks", "counts", "size", "sep",
+                 "rings", "masks")
+
+    def __init__(self, bits: int, n: int, r0: int):
+        h, low = _block_split(n)
+        self.n, self.r0, self.low = n, r0, low
+        self.blocks = _blocks(bits, h, low)
+        self.counts = [block.bit_count() for block in self.blocks]
+        self.size = sum(self.counts)
+        self.sep = [0] * (1 << h)
+        self.rings = [list(_gosper(h, d)) for d in range(min(r0, h) + 1)]
+        self.masks: Dict[int, Tuple[int, ...]] = {}
+
+    def _balls(self, xl: int) -> Tuple[int, ...]:
+        balls = self.masks.get(xl)
+        if balls is None:
+            n, low = self.n, self.low
+            full = (1 << (1 << low)) - 1
+            balls = self.masks[xl] = tuple(
+                translate_bits(_ball_bits(n, r) & full, xl, low)
+                for r in range(self.r0 + 1)
+            )
+        return balls
+
+    def census(self, x: int) -> Tuple[int, int]:
+        """(ball, sphere) counts of the set at radius r0 around x.
+
+        The sphere count is b minus the same sum at radius r0 - 1.
+        """
+        low, r0, blocks = self.low, self.r0, self.blocks
+        xh = x >> low
+        balls = self._balls(x & ((1 << low) - 1))
+        b = inner = 0
+        for d, ring in enumerate(self.rings):
+            outer = balls[r0 - d]
+            inside = balls[r0 - d - 1] if d < r0 else 0
+            for e in ring:
+                block = blocks[xh ^ e]
+                b += (block & outer).bit_count()
+                inner += (block & inside).bit_count()
+        return b, b - inner
+
+    def remove(self, x: int) -> Tuple[int, int]:
+        """Take the radius-r0 ball around x out of the set and charge its
+        sphere to the separator; returns the (ball, sphere) counts.  The
+        peel and the audit both call this."""
+        low, r0 = self.low, self.r0
+        blocks, counts, sep = self.blocks, self.counts, self.sep
+        xh = x >> low
+        balls = self._balls(x & ((1 << low) - 1))
+        b = s = 0
+        for d, ring in enumerate(self.rings):
+            outer = balls[r0 - d]
+            inside = balls[r0 - d - 1] if d < r0 else 0
+            for e in ring:
+                k = xh ^ e
+                hit = blocks[k] & outer
+                if hit:
+                    shell = hit & ~inside
+                    blocks[k] ^= hit
+                    c = hit.bit_count()
+                    counts[k] -= c
+                    sep[k] |= shell
+                    b += c
+                    s += shell.bit_count()
+        self.size -= b
+        return b, s
+
+    def member(self, j: int) -> int:
+        """The j-th smallest member: its block from the running popcounts,
+        then `Family.select` inside that block."""
+        ends = list(accumulate(self.counts))
+        k = bisect_right(ends, j)
+        rank = j - ends[k] + self.counts[k]
+        return k << self.low | Family(self.low, self.blocks[k]).select(rank)
+
+    def separator(self) -> int:
+        return _join(self.sep, self.low)
+
+
 def _choose_center(
-    alive: int,
-    n: int,
-    r0: int,
-    samples: int,
-    rng: random.Random,
-    masks: Dict[int, Tuple[int, ...]],
+    state: _BlockState, samples: int, rng: random.Random
 ) -> int:
     """Argmin of sphere/ball over sampled centers plus one member of F.
 
@@ -198,46 +310,21 @@ def _choose_center(
     center always removes at least one vertex; ties break toward the
     numerically smallest mask.  Ratios compare exactly, in integers.
 
-    The census is a block census.  With n = h + L (`_block_split`), the
-    alive vector splits once per call into 2^h blocks of 2^L bits, block
-    yh holding the vertices (yh, yl).  A center x = (xh, xl) meets block
-    xh ^ e, for |e| = d <= r0, in the radius-(r0 - d) ball around xl in
-    Q_L.  So the high part is a list index and the low part a mask:
-    b is the sum of popcount(block & T_xl(B_L(r0 - d))), and the sphere
-    count is b minus the same sum at radius r0 - 1.  No 2^n-bit vector
-    is translated per candidate.
-
-    `masks` maps xl to (T_xl(B_L(r)) for r = 0..r0).  The peel passes one
-    dict for its whole run, so each xl is translated once per peel: at
-    most 2^10 * (r0 + 1) ints of 2^10 bits, about 1 MiB at n = 18.
+    F is the block state's set.  The pool is `samples` uniform draws and
+    one member of rank uniform in [0, |F|), found by `_BlockState.member`;
+    each candidate is scored by `_BlockState.census`, which reads the
+    blocks within Hamming distance r0 of its top part by list index and
+    popcounts each against a memoised ball mask around its low part.
     The key ends in x, so only copies of one center tie, and the order
     in which the pool is scored cannot change the winner.
     """
-    pool = [rng.getrandbits(n) for _ in range(samples)]
-    pool.append(Family(n, alive).select(rng.randrange(alive.bit_count())))
-    h, low = _block_split(n)
-    blocks = _blocks(alive, h, low)
-    rings = [list(_gosper(h, d)) for d in range(min(r0, h) + 1)]
+    pool = [rng.getrandbits(state.n) for _ in range(samples)]
+    pool.append(state.member(rng.randrange(state.size)))
     best = None
     for x in pool:
-        xh, xl = x >> low, x & ((1 << low) - 1)
-        balls = masks.get(xl)
-        if balls is None:
-            full = (1 << (1 << low)) - 1
-            balls = masks[xl] = tuple(
-                translate_bits(_ball_bits(n, r) & full, xl, low)
-                for r in range(r0 + 1)
-            )
-        b = inner = 0
-        for d, ring in enumerate(rings):
-            outer = balls[r0 - d]
-            inside = balls[r0 - d - 1] if d < r0 else 0
-            for e in ring:
-                block = blocks[xh ^ e]
-                b += (block & outer).bit_count()
-                inner += (block & inside).bit_count()
-        if best is None or _ranks_before(b, b - inner, x, best):
-            best = b, b - inner, x
+        b, s = state.census(x)
+        if best is None or _ranks_before(b, s, x, best):
+            best = b, s, x
     return best[2]
 
 
@@ -264,18 +351,8 @@ def choose_center(
         raise DomainError(f"radius r0={r0} outside [0, {family.n}]")
     if rng is None:
         rng = random.Random(cfg.seed)
-    return _choose_center(family.bits, family.n, r0, cfg.samples, rng, {})
-
-
-def _peel_step(alive: int, x: int, n: int, r0: int) -> Tuple[int, ...]:
-    """Remove the radius-r0 ball around x from the alive set.
-
-    Returns (alive minus the ball, sphere ∩ alive, |ball ∩ alive|,
-    |sphere ∩ alive|).  The peel and the audit both call this.
-    """
-    ball = translate_bits(_ball_bits(n, r0), x, n) & alive
-    sphere = translate_bits(_layer_bits(n, r0), x, n) & alive
-    return alive ^ ball, sphere, ball.bit_count(), sphere.bit_count()
+    state = _BlockState(family.bits, family.n, r0)
+    return _choose_center(state, cfg.samples, rng)
 
 
 def _max_component_via_bfs(bits: int, n: int) -> int:
@@ -307,16 +384,12 @@ def peel(n: int, cfg: PeelConfig = PeelConfig()) -> IntegrityCertificate:
     params = solve_radius(n)
     r0 = params.r0
     rng = random.Random(cfg.seed)
-    alive = (1 << (1 << n)) - 1
-    sep = 0
+    state = _BlockState((1 << (1 << n)) - 1, n, r0)
     steps: List[PeelStep] = []
-    masks: Dict[int, Tuple[int, ...]] = {}
-    while alive:
-        x = _choose_center(alive, n, r0, cfg.samples, rng, masks)
-        alive, sphere, ball_hits, sphere_hits = _peel_step(alive, x, n, r0)
-        sep |= sphere
-        steps.append(PeelStep(x, ball_hits, sphere_hits))
-    separator = Family(n, sep)
+    while state.size:
+        x = _choose_center(state, cfg.samples, rng)
+        steps.append(PeelStep(x, *state.remove(x)))
+    separator = Family(n, state.separator())
     max_comp = binom_leq(n, r0 - 1) if r0 else 0
     return IntegrityCertificate(
         params, cfg, tuple(steps), separator, separator.size + max_comp
@@ -326,14 +399,17 @@ def peel(n: int, cfg: PeelConfig = PeelConfig()) -> IntegrityCertificate:
 def verify_certificate(cert: IntegrityCertificate) -> int:
     """Replay the peel transcript from the full cube; return the value.
 
-    After the alpha check, an O(steps) pre-filter on the recorded counts
-    bounds the replay before any big-integer work.  The replay re-runs
-    each step with the peel's own step function: the recomputed counts
-    must equal the recorded ones, and the rebuilt separator must equal
-    the stored one bit for bit.  That puts every component of Q_n minus
-    the separator inside one recorded ball, so only the largest one is
-    recomputed (by BFS) and checked against the C(n,<=r0) cap and the
-    claimed value.  Raises VerificationError naming the first offender.
+    After the alpha check, an O(steps) pre-filter bounds the replay before
+    any big-integer work: the claimed value must reach
+    `integrity_lower_bound(n)`, which no correct certificate can miss,
+    and the recorded counts must be sane.  The replay re-runs each step
+    with the peel's own block step, `_BlockState.remove`: the recomputed
+    counts must equal the recorded ones, and the separator, joined from
+    its blocks once at the end, must equal the stored one bit for bit.
+    That puts every component of Q_n minus the separator inside one
+    recorded ball, so only the largest one is recomputed (by BFS) and
+    checked against the C(n,<=r0) cap and the claimed value.  Raises
+    VerificationError naming the first offender.
     """
     n = cert.n
     params = cert.params
@@ -341,6 +417,12 @@ def verify_certificate(cert: IntegrityCertificate) -> int:
     if params.residual > 1e-9:
         raise VerificationError(
             f"alpha={params.alpha!r} does not solve the radius equation"
+        )
+    floor = integrity_lower_bound(n)
+    if cert.value < floor:
+        raise VerificationError(
+            f"claimed value {cert.value} is below the lower bound "
+            f"I(Q_{n}) >= {floor}"
         )
     ball_total = 0
     for i, step in enumerate(cert.steps):
@@ -355,20 +437,18 @@ def verify_certificate(cert: IntegrityCertificate) -> int:
         )
     if cert.separator.n != n:
         raise VerificationError("separator dimension mismatch")
-    alive = full = (1 << (1 << n)) - 1
-    sep = 0
+    full = (1 << (1 << n)) - 1
+    state = _BlockState(full, n, r0)
     for i, step in enumerate(cert.steps):
-        alive, sphere, ball_hits, sphere_hits = _peel_step(
-            alive, step.center, n, r0
-        )
+        ball_hits, sphere_hits = state.remove(step.center)
         if (ball_hits, sphere_hits) != (step.ball_hits, step.sphere_hits):
             raise VerificationError(
                 f"step {i} replays as ball {ball_hits}, sphere "
                 f"{sphere_hits}; recorded {step.ball_hits}, {step.sphere_hits}"
             )
-        sep |= sphere
-    if alive:
+    if state.size:
         raise VerificationError("vertices survive the last step")
+    sep = state.separator()
     if sep != cert.separator.bits:
         raise VerificationError(
             f"separator differs from the replayed sphere charges in "
@@ -426,6 +506,29 @@ def exact_integrity(n: int) -> int:
             if largest <= limit:
                 best = s + largest
     return best
+
+
+def integrity_lower_bound(n: int) -> int:
+    """C(n, floor((n-1)/2)) + 1, a lower bound on I(Q_n) for n >= 3.
+
+    Let r = floor((n-3)/2) and C = C(n, r+1), so that n >= 2r + 3.
+    Suppose |S| <= C - 1 and every component of Q_n - S has at most C
+    vertices.  Union whole components into A until |A| >= C(n, <= r);
+    then C(n, <= r) <= |A| < C(n, <= r+1), and the vertex boundary of A
+    lies in S.  By Harper's vertex-isoperimetric theorem (Harper 1966)
+    that boundary is at least the boundary of the simplicial initial
+    segment of the same size: B(r) plus j sets J of layer r+1, whose
+    boundary has (C - j) + |upper shadow of J| vertices.  Double counting
+    the edges between J and layer r+2 gives a shadow of at least
+    j(n-r-1)/(r+2) >= j, since n >= 2r + 3.  So |S| >= C, a
+    contradiction.  Hence every S has |S| >= C or a component of more
+    than C vertices, and |S| plus its largest component is at least
+    C + 1.  The bound is the order of the middle binomial, c*2^n/sqrt(n),
+    the floor of Beineke et al.; I(Q_3) = 5 >= 4 and I(Q_4) = 9 >= 5.
+    """
+    if n < 3:
+        raise DomainError(f"the lower bound needs n >= 3, got n={n}")
+    return math.comb(n, (n - 1) // 2) + 1
 
 
 def middle_layer_baseline(n: int) -> int:

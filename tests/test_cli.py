@@ -298,6 +298,16 @@ class TestPeelVerify:
         assert code == 4
         assert "sphere" in err or "value" in err
 
+    def test_value_below_the_lower_bound_exits_4(self, capsys, tmp_path):
+        cert = tmp_path / "cert.txt"
+        run_cli(capsys, "peel", "6", "--out", str(cert))
+        lines = cert.read_text().splitlines()
+        lines[-1] = "value=10"  # I(Q_6) >= C(6,2) + 1 = 16
+        cert.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "verify", str(cert))
+        assert code == 4
+        assert "lower bound I(Q_6) >= 16" in err
+
     @pytest.mark.parametrize(
         "header",
         [

@@ -17,6 +17,7 @@ from vcube import (
     PeelStep,
     RadiusParams,
     VerificationError,
+    ball,
     binom_leq,
     census,
     certificate_from_text,
@@ -24,9 +25,11 @@ from vcube import (
     choose_center,
     density_audit,
     exact_integrity,
+    integrity_lower_bound,
     middle_layer_baseline,
     peel,
     solve_radius,
+    sphere,
     translate_bits,
     verify_certificate,
 )
@@ -198,8 +201,9 @@ class TestChooseCenter:
                     assert dims and max(dims) < n, (n, samples)
 
     def test_peel_translates_each_low_mask_once(self, monkeypatch):
-        # the mask memo lives for the whole peel: every (mask, xl) pair is
-        # translated once, and only the step itself works at dimension n
+        # the peel and the audit keep alive and separator as blocks, so
+        # neither translates at dimension n; each keeps one mask memo for
+        # its whole run, so every (mask, xl) pair is translated once
         import vcube.integrity as integ
 
         calls = []
@@ -211,9 +215,12 @@ class TestChooseCenter:
         monkeypatch.setattr(integ, "translate_bits", recording)
         n = 12
         cert = peel(n)
-        low = [c for c in calls if c[2] < n]
-        assert len(low) == len(set(low))
-        assert sum(c[2] == n for c in calls) == 2 * len(cert.steps)
+        assert calls and len(calls) == len(set(calls))
+        peeled = len(calls)
+        assert verify_certificate(cert) == cert.value
+        audit = calls[peeled:]
+        assert audit and len(audit) == len(set(audit))
+        assert max(c[2] for c in calls) < n
 
     def test_radius_outside_the_cube_rejected(self):
         with pytest.raises(DomainError, match="radius"):
@@ -260,6 +267,26 @@ class TestPeel:
                 assert cert.max_component == want, (n, seed)
                 rest = cert.separator.bits ^ full
                 assert _max_component_via_bfs(rest, n) == want, (n, seed)
+
+    def test_block_step_matches_public_ball_and_sphere(self):
+        # second route for the block step: replay each certificate with
+        # the public ball/sphere, which translate at dimension n; n = 3
+        # has blocks under a byte
+        for n in range(3, 13):
+            r0 = solve_radius(n).r0
+            for seed in range(4):
+                for samples in (0, 1, 32):
+                    cert = peel(n, PeelConfig(samples=samples, seed=seed))
+                    alive, sep = Family.full(n), Family.empty(n)
+                    for i, step in enumerate(cert.steps):
+                        taken = ball(n, step.center, r0) & alive
+                        charged = sphere(n, step.center, r0) & alive
+                        assert (len(taken), len(charged)) == (
+                            step.ball_hits, step.sphere_hits
+                        ), (n, seed, samples, i)
+                        alive, sep = alive - taken, sep | charged
+                    assert not alive
+                    assert sep == cert.separator, (n, seed, samples)
 
     def test_step_count_bounded(self):
         cert = peel(8)
@@ -317,6 +344,7 @@ GOLDEN_DIGESTS = {
     12: "571f835bfd94e702f0052558cb3b9a51634883892414b0fd45062a0ef16aff62",
     14: "b83135977ce724ae5687ea9eb2310412ae5efeb070b709fcabf04da46373ee2e",
     16: "95b0eddc622e09c0e93954265d5c5c6b77d83c63378be55568b9398c981adf2f",
+    18: "407e0ff5bb0cbcdb710a095f9c186b253931621408a5fbf5c5f0a44c7d5e9d85",
 }
 
 
@@ -345,6 +373,34 @@ class TestExactIntegrity:
     def test_guard(self):
         with pytest.raises(BudgetError):
             exact_integrity(5)
+
+
+class TestLowerBound:
+    def test_exact_values_respect_it(self):
+        assert integrity_lower_bound(3) == 4 <= exact_integrity(3) == 5
+        assert integrity_lower_bound(4) == 5 <= exact_integrity(4) == 9
+
+    def test_seed_zero_peels_respect_it(self):
+        for n in range(3, 17):
+            assert peel(n).value >= integrity_lower_bound(n), n
+
+    def test_small_n_rejected(self):
+        with pytest.raises(DomainError):
+            integrity_lower_bound(2)
+
+    def test_value_below_it_rejected_before_replay(self, monkeypatch):
+        import vcube.integrity as integ
+
+        cert = peel(8)
+        floor = integrity_lower_bound(8)
+        low = replace(cert, value=floor - 1)
+
+        def no_replay(*args):
+            raise AssertionError("the replay ran")
+
+        monkeypatch.setattr(integ, "_BlockState", no_replay)
+        with pytest.raises(VerificationError, match=f"lower bound.*{floor}"):
+            verify_certificate(low)
 
 
 class TestBaseline:
