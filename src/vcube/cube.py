@@ -441,9 +441,14 @@ def log_binom(n: int, k: int) -> float:
 
 
 def log_binom_leq(n: int, k: int) -> float:
-    """ln of the partial binomial sum, summed from the top in log domain."""
+    """ln of the partial binomial sum, summed from the top in log domain;
+    past the middle, 2^n less the complement C(n, <= n-k-1)."""
     if not 0 <= k <= n:
         raise DomainError(f"log_binom_leq needs 0 <= k <= n, got n={n} k={k}")
+    if 2 * k >= n:  # terms below the top outgrow it, and exp overflows
+        log_cube = n * math.log(2)
+        rest = log_binom_leq(n, n - k - 1) if k < n else -math.inf
+        return log_cube + math.log1p(-math.exp(rest - log_cube))
     top = log_binom(n, k)
     total = 0.0
     for i in range(k, -1, -1):

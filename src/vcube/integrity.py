@@ -10,7 +10,7 @@ the start and joined once at the end.  A center's census and its
 removal read the blocks within Hamming distance r0 of its top part by
 list index and meet each with a ball around its low part, a mask of at
 most 2^10 bits translated once per peel; the member draw finds its
-block from per-block popcounts.  No 2^n-bit vector is translated.  The
+block from per-block popcounts.  No 2^n-bit table is built.  The
 largest component of the cube minus the separator is C(n, <= r0-1), in
 closed form.  A certificate stores the transcript (centers and their
 ball/sphere counts), the separator and the claimed value.  The audit
@@ -178,29 +178,23 @@ def _block_split(n: int) -> Tuple[int, int]:
 
 
 def _blocks(bits: int, h: int, low: int) -> List[int]:
-    """Block i of the 2^(h+low)-bit vector: its bits [i*2^low, (i+1)*2^low)."""
-    if low < 3:  # a block is under one byte
-        full = (1 << (1 << low)) - 1
-        return [bits >> (i << low) & full for i in range(1 << h)]
-    size = 1 << (low - 3)
-    data = memoryview(bits.to_bytes(size << h, "little"))
-    return [
-        int.from_bytes(data[i : i + size], "little")
-        for i in range(0, size << h, size)
-    ]
+    """Block i of the 2^(h+low)-bit vector: its bits [i*2^low, (i+1)*2^low),
+    cut by recursive halving, one path for every block size."""
+    if not h:
+        return [bits]
+    width = 1 << (h - 1 + low)
+    return (_blocks(bits & (1 << width) - 1, h - 1, low)
+            + _blocks(bits >> width, h - 1, low))
 
 
 def _join(blocks: List[int], low: int) -> int:
-    """The vector whose blocks of 2^low bits are `blocks`; undoes `_blocks`."""
-    if low < 3:
-        bits = 0
-        for i, block in enumerate(blocks):
-            bits |= block << (i << low)
-        return bits
-    size = 1 << (low - 3)
-    return int.from_bytes(
-        b"".join(block.to_bytes(size, "little") for block in blocks), "little"
-    )
+    """The vector whose blocks of 2^low bits are `blocks`, joined by
+    recursive halving; undoes `_blocks`."""
+    if len(blocks) == 1:
+        return blocks[0]
+    half = len(blocks) >> 1
+    return (_join(blocks[:half], low)
+            | _join(blocks[half:], low) << (half << low))
 
 
 class _BlockState:
@@ -211,18 +205,20 @@ class _BlockState:
     radius-(r0 - d) ball around xl in Q_L, and its radius-r0 sphere in
     that ball minus the radius-(r0 - d - 1) one.  So the high part is a
     list index and the low part a mask, T_xl(B_L(r)), where B_L(r) is
-    `_ball_bits(n, r)` masked to 2^L bits: no 2^n-bit vector is split,
-    translated or searched after construction.
+    `_ball_bits(L, min(r, L))`, the low 2^L bits of B_n(r): no 2^n-bit
+    table is built, and no 2^n-bit vector is split, translated or
+    searched after construction.
 
-    `masks` maps xl to (T_xl(B_L(r)) for r = 0..r0), filled on first use,
-    so each xl is translated once per state: at most 2^10 * (r0 + 1) ints
-    of 2^10 bits, about 1 MiB at n = 18.  `rings[d]` lists the h-bit e
-    with |e| = d.  `counts` holds each block's popcount and `size` their
+    `base` holds B_L(r) for r = 0..r0, and `masks` maps xl to their
+    translates (T_xl(B_L(r)) for r = 0..r0), filled on first use, so each
+    xl is translated once per state: at most 2^10 * (r0 + 1) ints of 2^10
+    bits, about 1 MiB at n = 18.  `rings[d]` lists the h-bit e with
+    |e| = d.  `counts` holds each block's popcount and `size` their
     sum; `sep` holds the separator's blocks.
     """
 
     __slots__ = ("n", "r0", "low", "blocks", "counts", "size", "sep",
-                 "rings", "masks")
+                 "rings", "base", "masks")
 
     def __init__(self, bits: int, n: int, r0: int):
         h, low = _block_split(n)
@@ -232,16 +228,14 @@ class _BlockState:
         self.size = sum(self.counts)
         self.sep = [0] * (1 << h)
         self.rings = [list(_gosper(h, d)) for d in range(min(r0, h) + 1)]
+        self.base = tuple(_ball_bits(low, min(r, low)) for r in range(r0 + 1))
         self.masks: Dict[int, Tuple[int, ...]] = {}
 
     def _balls(self, xl: int) -> Tuple[int, ...]:
         balls = self.masks.get(xl)
         if balls is None:
-            n, low = self.n, self.low
-            full = (1 << (1 << low)) - 1
             balls = self.masks[xl] = tuple(
-                translate_bits(_ball_bits(n, r) & full, xl, low)
-                for r in range(self.r0 + 1)
+                translate_bits(ball, xl, self.low) for ball in self.base
             )
         return balls
 
@@ -355,10 +349,6 @@ def choose_center(
     return _choose_center(state, cfg.samples, rng)
 
 
-def _max_component_via_bfs(bits: int, n: int) -> int:
-    return max(map(len, _component_index_lists(bits, n)), default=0)
-
-
 def peel(n: int, cfg: PeelConfig = PeelConfig()) -> IntegrityCertificate:
     """Run the greedy sphere-peeling process to completion.
 
@@ -454,7 +444,7 @@ def verify_certificate(cert: IntegrityCertificate) -> int:
             f"separator differs from the replayed sphere charges in "
             f"{(sep ^ cert.separator.bits).bit_count()} vertices"
         )
-    max_comp = _max_component_via_bfs(sep ^ full, n)
+    max_comp = max(map(len, _component_index_lists(sep ^ full, n)), default=0)
     cap = binom_leq(n, r0)
     if max_comp > cap:
         raise VerificationError(
@@ -552,6 +542,9 @@ def middle_layer_baseline(n: int) -> int:
 # Both should sit in a bounded band if r0 tracks the intended scaling.
 # ---------------------------------------------------------------------------
 
+# Terms the log-domain ball sums of one audit may take: a few seconds.
+DENSITY_TERM_BUDGET = 10**7
+
 
 @dataclass(frozen=True)
 class DensityRow:
@@ -563,32 +556,36 @@ class DensityRow:
 
 
 def density_audit(dims: Sequence[int]) -> List[DensityRow]:
-    """Normalized ball/sphere densities at the solved radius, per n."""
-    rows = []
+    """Normalized ball/sphere densities at the solved radius, per n.
+
+    Before the first row, BudgetError refuses dims whose ball sums take
+    over DENSITY_TERM_BUDGET terms in all: `log_binom_leq` stops under
+    e^-45 of its top term, each step down scaling by at most r0/(n-r0+1).
+    """
+    solved = []
+    terms = 0
     for n in dims:
         if n < 8:
             raise DomainError(f"density audit needs n >= 8, got n={n}")
-        params = solve_radius(n)
-        ln2 = math.log(2)
-        lln = math.log(math.log(n))
-        log_ball = (
-            log_binom_leq(n, params.r0)
-            + 0.5 * math.log(n)
-            - n * ln2
-            - 0.5 * lln
-        )
-        log_sphere = (
-            log_binom(n, params.r0) + math.log(n) - n * ln2 - lln
-        )
-        rows.append(
-            DensityRow(
-                n=n,
-                alpha=params.alpha,
-                r0=params.r0,
-                ball_ratio=math.exp(log_ball),
-                sphere_ratio=math.exp(log_sphere),
+        solved.append(solve_radius(n))
+        r0 = solved[-1].r0
+        terms += 1 + 45 / math.log((n - r0 + 1) / r0)
+        if terms > DENSITY_TERM_BUDGET:
+            raise BudgetError(
+                f"the ball sums up to n={n} take {terms:.3g} terms, over "
+                f"the budget of {DENSITY_TERM_BUDGET:.0e}"
             )
+    rows = []
+    ln2 = math.log(2)
+    for p in solved:
+        n, lln = p.n, math.log(math.log(p.n))
+        log_ball = (
+            log_binom_leq(n, p.r0) + 0.5 * math.log(n) - n * ln2 - 0.5 * lln
         )
+        log_sphere = log_binom(n, p.r0) + math.log(n) - n * ln2 - lln
+        rows.append(DensityRow(
+            n, p.alpha, p.r0, math.exp(log_ball), math.exp(log_sphere)
+        ))
     return rows
 
 

@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, product
-from operator import or_
 from typing import Iterator, List, Optional, Tuple
 
 from .cube import (
@@ -40,12 +38,6 @@ class InducedMatching:
     n: int
     k: int
     edges: Tuple[Edge, ...]
-
-    def lower_bits(self) -> int:
-        return reduce(or_, (1 << lo for lo, _ in self.edges), 0)
-
-    def upper_bits(self) -> int:
-        return reduce(or_, (1 << up for _, up in self.edges), 0)
 
 
 def validate_matching(m: InducedMatching) -> Tuple[bool, Optional[str]]:
@@ -155,10 +147,15 @@ def matching_to_family(m: InducedMatching) -> Family:
     ok, why = validate_matching(m)
     if not ok:
         raise DomainError(f"invalid matching: {why}")
+    return _encode(m)
+
+
+def _encode(m: InducedMatching) -> Family:
+    """`matching_to_family` for a matching already validated."""
     n, k = m.n, m.k
-    bits = _ball_bits(n, k - 1)
-    bits |= _layer_bits(n, k) & ~m.lower_bits()
-    bits |= m.upper_bits()
+    bits = _ball_bits(n, k - 1) | _layer_bits(n, k)
+    for lo, up in m.edges:  # distinct lowers leave, distinct uppers join
+        bits ^= 1 << lo | 1 << up
     return Family(n, bits)
 
 
@@ -166,8 +163,8 @@ def family_to_matching(family: Family, k: int) -> InducedMatching:
     """Decode a family back to the unique matching that encodes to it.
 
     Each member of size k+1 is paired with its single absent size-k
-    subset.  The result is validated and re-encoded; any mismatch raises
-    NotInImageError, so this doubles as an image-membership test.
+    subset.  The result is validated once and re-encoded; any mismatch
+    raises NotInImageError, so this doubles as an image-membership test.
     """
     n = family.n
     if not 0 <= k < n:
@@ -188,7 +185,7 @@ def family_to_matching(family: Family, k: int) -> InducedMatching:
     ok, why = validate_matching(m)
     if not ok:
         raise NotInImageError(f"decoded edge set is not an induced matching: {why}")
-    if matching_to_family(m) != family:
+    if _encode(m) != family:
         raise NotInImageError("family disagrees with its re-encoded matching")
     return m
 

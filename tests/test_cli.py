@@ -363,6 +363,15 @@ class TestSweepCommand:
         assert lines[0] == "n,alpha,r0,ball_ratio,sphere_ratio"
         assert [l.split(",")[0] for l in lines[1:]] == ["256", "512", "1024"]
 
+    def test_lemma_past_the_term_budget_exits_3(self, capsys):
+        # refused before the first row, so no header or row is printed
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "sweep", "lemma", f"8..{2**60}:x2")
+        assert code == 3
+        assert out == ""
+        assert "budget" in err
+        assert time.perf_counter() - t0 < 1
+
     def test_rho_table_includes_baseline(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "rho", "8..10")
         lines = out.splitlines()

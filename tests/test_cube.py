@@ -196,11 +196,16 @@ class TestBinomials:
         assert 726000 < val < 727000  # ~ n ln 2
 
     def test_log_binom_leq_against_exact(self):
-        rng = random.Random(15)
-        for n in (8, 16, 33, 64):
-            for k in sorted(rng.sample(range(n + 1), 5)):
-                exact = math.log(binom_leq(n, k))
-                assert abs(log_binom_leq(n, k) - exact) <= 1e-9 * max(1.0, exact)
+        # every k, past the middle too, where the sum goes through its
+        # complement; n = 2000 is past where the terms under the top
+        # overflow a double
+        cases = [(n, k) for n in range(65) for k in range(n + 1)]
+        cases += [(2000, 1000), (2000, 1500), (2000, 2000)]
+        for n, k in cases:
+            exact = math.log(binom_leq(n, k))
+            got = log_binom_leq(n, k)
+            assert abs(got - exact) <= 1e-12 * max(1.0, exact), (n, k)
+        assert abs(log_binom_leq(2000, 2000) - 2000 * math.log(2)) <= 1e-12
 
 
 class TestFamily:

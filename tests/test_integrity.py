@@ -26,6 +26,7 @@ from vcube import (
     density_audit,
     exact_integrity,
     integrity_lower_bound,
+    mask_elements,
     middle_layer_baseline,
     peel,
     solve_radius,
@@ -33,9 +34,11 @@ from vcube import (
     translate_bits,
     verify_certificate,
 )
+from vcube.cube import _ball_bits, _component_index_lists
 from vcube.integrity import (
     _block_split,
-    _max_component_via_bfs,
+    _blocks,
+    _join,
     _radius_gap,
 )
 
@@ -177,6 +180,48 @@ class TestChooseCenter:
             h, low = _block_split(n)
             assert h >= 1 and 0 <= low <= 10 and h + low == n
 
+    def test_blocks_and_join_every_split(self):
+        # one halving path for every block size, L < 3 (under a byte)
+        # included: block i is v >> (i << L) cut to 2^L bits, and the
+        # join gives v back
+        rng = random.Random(48)
+        for n in range(1, 15):
+            for h in range(n + 1):
+                low = n - h
+                full = (1 << (1 << low)) - 1
+                for v in (0, (1 << (1 << n)) - 1, rng.getrandbits(1 << n)):
+                    blocks = _blocks(v, h, low)
+                    assert blocks == [
+                        v >> (i << low) & full for i in range(1 << h)
+                    ], (n, h)
+                    assert _join(blocks, low) == v, (n, h)
+
+    def test_ball_tables_stay_below_dimension_n(self, monkeypatch):
+        # the ball masks are cut from L-dimensional tables, so neither the
+        # chooser, the peel nor the audit builds the n-dimensional one
+        import vcube.integrity as integ
+
+        dims = []
+
+        def recording(n, r):
+            dims.append(n)
+            return _ball_bits(n, r)
+
+        monkeypatch.setattr(integ, "_ball_bits", recording)
+        rng = random.Random(49)
+        for n in range(1, 13):
+            fam = Family(n, rng.getrandbits(1 << n) | 1)
+            for r0 in range(n + 1):
+                dims.clear()
+                choose_center(fam, r0, PeelConfig(samples=8, seed=n))
+                assert dims and max(dims) < n, (n, r0)
+        dims.clear()
+        cert = peel(12)
+        assert dims and max(dims) < 12
+        dims.clear()
+        assert verify_certificate(cert) == cert.value
+        assert dims and max(dims) < 12
+
     def test_no_translate_at_full_dimension(self, monkeypatch):
         # the census indexes blocks by the top coordinates and masks the
         # low ones, so the only vectors it translates are L-bit masks
@@ -266,7 +311,8 @@ class TestPeel:
                 cert = peel(n, PeelConfig(seed=seed))
                 assert cert.max_component == want, (n, seed)
                 rest = cert.separator.bits ^ full
-                assert _max_component_via_bfs(rest, n) == want, (n, seed)
+                bfs = max(map(len, _component_index_lists(rest, n)), default=0)
+                assert bfs == want, (n, seed)
 
     def test_block_step_matches_public_ball_and_sphere(self):
         # second route for the block step: replay each certificate with
@@ -388,6 +434,35 @@ class TestLowerBound:
         with pytest.raises(DomainError):
             integrity_lower_bound(2)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_harper_step_by_brute_force(self, n):
+        # the proof's Harper step: over every vertex set A of each size,
+        # the least vertex boundary N(A) - A is that of the simplicial
+        # initial segment (by weight, then lexicographically); and for
+        # C(n,<=r) <= |A| < C(n,<=r+1) it is at least C(n, r+1)
+        size = 1 << n
+        nbrs = [sum(1 << (v ^ 1 << i) for i in range(n)) for v in range(size)]
+        reach = [0] * (1 << size)
+        least = [size] * (size + 1)
+        for a in range(1, 1 << size):
+            low = a & -a
+            reach[a] = reach[a ^ low] | nbrs[low.bit_length() - 1]
+            k = a.bit_count()
+            least[k] = min(least[k], (reach[a] & ~a).bit_count())
+        least[0] = 0
+        order = sorted(
+            range(size), key=lambda v: (v.bit_count(), mask_elements(v))
+        )
+        segment = 0
+        for k in range(size + 1):
+            assert least[k] == (reach[segment] & ~segment).bit_count(), (n, k)
+            if k < size:
+                segment |= 1 << order[k]
+        r = (n - 3) // 2
+        cap = math.comb(n, r + 1)
+        for k in range(binom_leq(n, r), binom_leq(n, r + 1)):
+            assert least[k] >= cap, (n, k)
+
     def test_value_below_it_rejected_before_replay(self, monkeypatch):
         import vcube.integrity as integ
 
@@ -457,6 +532,21 @@ class TestDensityAudit:
     def test_guard(self):
         with pytest.raises(DomainError):
             density_audit([4])
+
+    def test_term_budget_refuses_before_any_row(self, monkeypatch):
+        # 2^40 alone, about 5e6 terms, is within the budget; with 2^41
+        # after it the term bounds pass it, and nothing is summed before
+        # the refusal
+        import vcube.integrity as integ
+
+        def no_sum(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(integ, "log_binom_leq", no_sum)
+        with pytest.raises(BudgetError, match="budget"):
+            density_audit([1 << 40, 1 << 41])
+        with pytest.raises(BudgetError, match="budget"):
+            density_audit([8, 1 << 60])
 
 
 class TestCertificateSerialization:

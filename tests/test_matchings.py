@@ -167,6 +167,24 @@ class TestDecoding:
             for m in enumerate_induced_matchings(n, k):
                 assert family_to_matching(matching_to_family(m), k) == m
 
+    def test_decode_validates_once(self, monkeypatch):
+        # the re-encode after the decode's validation skips a second one
+        import vcube.matchings as mat
+
+        calls = []
+
+        def recording(m):
+            calls.append(m)
+            return validate_matching(m)
+
+        for m in enumerate_induced_matchings(4, 1):
+            fam = matching_to_family(m)
+            monkeypatch.setattr(mat, "validate_matching", recording)
+            calls.clear()
+            assert family_to_matching(fam, 1) == m
+            assert calls == [m]
+            monkeypatch.undo()
+
     def test_two_singletons_not_in_image(self):
         with pytest.raises(NotInImageError):
             family_to_matching(Family.from_masks(2, [1, 2]), 0)
