@@ -246,6 +246,10 @@ def cmd_sweep(args, out):
             for r in integrity.density_audit(dims)
         ]
     elif args.kind == "rho":
+        cap = cube.max_dim()
+        for n in dims:  # all of them, before the first peel
+            if not 3 <= n <= cap:
+                raise DomainError(f"peeling needs 3 <= n <= {cap}, got n={n}")
         header = [
             "n", "seed", "samples", "r0", "steps", "separator",
             "max_component", "value", "naive", "rho",

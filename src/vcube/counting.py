@@ -100,13 +100,12 @@ def _count_lifts(
 class _Classes:
     """The restriction-reduction enumerator behind exact_m and exact_exvc.
 
-    Its memos of classes and shattered sets live as long as the object,
-    which each count creates for itself.
+    Its memos of maximum classes and shattered sets live as long as the
+    object, which each count creates for itself.
     """
 
     def __init__(self) -> None:
         self._maximum: Dict[Tuple[int, int], List[int]] = {}
-        self._extremal: Dict[int, List[Tuple[int, int]]] = {}
         self._shattered: Dict[Tuple[int, int], int] = {}
 
     def maximum(self, n: int, k: int) -> List[int]:
@@ -130,20 +129,16 @@ class _Classes:
         """(vector, VC dimension) of every nonempty extremal class."""
         if n == 0:
             return [(1, 0)]
-        if n not in self._extremal:
-            sub = n - 1
-            lower = self.extremal(sub)
-            restrictions = [r for r, _ in lower]
-            dims = dict(lower)
-            dims[0] = -1  # the empty reduction
-            self._extremal[n] = [
-                (_join(t, d, z, sub), max(dims[t | d], dims[t] + 1))
-                for t, d, kept in self.lifts(
-                    sub, restrictions, [0] + restrictions
-                )
-                for z in kept
-            ]
-        return self._extremal[n]
+        sub = n - 1
+        lower = self.extremal(sub)
+        restrictions = [r for r, _ in lower]
+        dims = dict(lower)
+        dims[0] = -1  # the empty reduction
+        return [
+            (_join(t, d, z, sub), max(dims[t | d], dims[t] + 1))
+            for t, d, kept in self.lifts(sub, restrictions, [0] + restrictions)
+            for z in kept
+        ]
 
     def lifts(
         self, n: int, restrictions: List[int], reductions: List[int]

@@ -389,9 +389,9 @@ def flood_component_sizes(
 
     Fast when components have small graph diameter (each round grows the
     current component by one neighborhood layer); used by the exact
-    integrity oracle and the middle-layer baseline.  With a `limit`, the
-    fill gives up as soon as the component it is growing has more than
-    `limit` vertices, and the list then ends in `limit + 1`.
+    integrity oracle.  With a `limit`, the fill gives up as soon as the
+    component it is growing has more than `limit` vertices, and the list
+    then ends in `limit + 1`.
     """
     lows = _low_masks(n)
     cap = bits.bit_count() if limit is None else limit

@@ -1,22 +1,16 @@
 """Greedy sphere-peeling for hypercube integrity upper bounds.
 
 The radius r0 = floor(n/2 - alpha*sqrt(n)) comes from solving
-exp(-2*alpha^2)/alpha = sqrt(ln n)/sqrt(n).  Peeling repeatedly picks a
-center whose radius-r0 sphere is cheap relative to its ball within the
-still-alive family, removes the ball, and charges only the sphere to the
-separator.  The alive set and the separator live as lists of blocks on
-the top coordinates for the whole peel (`_BlockState`), split once at
-the start and joined once at the end.  A center's census and its
-removal read the blocks within Hamming distance r0 of its top part by
-list index and meet each with a ball around its low part, a mask of at
-most 2^10 bits translated once per peel; the member draw finds its
-block from per-block popcounts.  No 2^n-bit table is built.  The
-largest component of the cube minus the separator is C(n, <= r0-1), in
-closed form.  A certificate stores the transcript (centers and their
-ball/sphere counts), the separator and the claimed value.  The audit
-checks the value against `integrity_lower_bound`, replays the transcript
-with the peel's own block step, re-deriving every count and separator
-bit, and recomputes the largest component by BFS.
+exp(-2*alpha^2)/alpha = sqrt(ln n)/sqrt(n).  Peeling repeatedly picks,
+among sampled centers, one whose radius-r0 sphere is cheap relative to
+its ball within the still-alive family, removes the ball, and charges
+only the sphere to the separator; the sets live as blocks on the top
+coordinates (`_BlockState`).  The largest component of the cube minus
+the separator is C(n, <= r0-1), in closed form.  A certificate stores
+the sampler's seed and T, the transcript (centers and their ball/sphere
+counts), the separator and the claimed value.  The audit checks the
+value against `integrity_lower_bound`, replays the peel's own sampler
+draws and block step, and recomputes the largest component by BFS.
 """
 
 from __future__ import annotations
@@ -26,8 +20,8 @@ import random
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cube import (
     Family,
@@ -40,7 +34,6 @@ from .cube import (
     binom_leq,
     flood_component_sizes,
     format_mask,
-    layer,
     log_binom,
     log_binom_leq,
     max_dim,
@@ -57,6 +50,9 @@ from .errors import (
 )
 
 RESIDUAL_TOL = 1e-12
+
+# Sampler draws one audit may replay, steps * (T + 1): a few seconds.
+REPLAY_DRAW_BUDGET = 10**7
 
 
 def _radius_target(n: int) -> float:
@@ -295,44 +291,35 @@ class _BlockState:
         return _join(self.sep, self.low)
 
 
+def _draws(rng: random.Random, n: int, samples: int, size: int) -> Iterator[int]:
+    """One step's sampler draws: `samples` uniform centers of Q_n, then
+    the rank, uniform in [0, size), of one member of the alive set.  The
+    peel draws its pool from here, and the audit replays it."""
+    for _ in range(samples):
+        yield rng.getrandbits(n)
+    yield rng.randrange(size)
+
+
 def _choose_center(
     state: _BlockState, samples: int, rng: random.Random
 ) -> int:
-    """Argmin of sphere/ball over sampled centers plus one member of F.
+    """Argmin of sphere/ball over the step's `_draws`: the uniform
+    centers and the member of the drawn rank.
 
-    Candidates whose ball misses F entirely rank last so the returned
-    center always removes at least one vertex; ties break toward the
-    numerically smallest mask.  Ratios compare exactly, in integers.
-
-    F is the block state's set.  The pool is `samples` uniform draws and
-    one member of rank uniform in [0, |F|), found by `_BlockState.member`;
-    each candidate is scored by `_BlockState.census`, which reads the
-    blocks within Hamming distance r0 of its top part by list index and
-    popcounts each against a memoised ball mask around its low part.
-    The key ends in x, so only copies of one center tie, and the order
-    in which the pool is scored cannot change the winner.
+    The key of a center with census (b, s) is (b == 0, s * 4^n // b, x):
+    an empty ball ranks last, so the center removes a vertex.  Ball
+    counts are at most 2^n, so different ratios differ by more than 4^-n
+    and the floor keeps their order; ties break toward the smallest mask.
     """
-    pool = [rng.getrandbits(state.n) for _ in range(samples)]
-    pool.append(state.member(rng.randrange(state.size)))
-    best = None
-    for x in pool:
+    *pool, j = _draws(rng, state.n, samples, state.size)
+    pool.append(state.member(j))
+    shift = 2 * state.n
+
+    def key(x: int) -> Tuple[bool, int, int]:
         b, s = state.census(x)
-        if best is None or _ranks_before(b, s, x, best):
-            best = b, s, x
-    return best[2]
+        return b == 0, (s << shift) // (b or 1), x
 
-
-def _ranks_before(b: int, s: int, x: int, best: Tuple[int, int, int]) -> bool:
-    """Whether key (b == 0, s/b, x) sorts before the key of `best`.
-
-    The ratios compare as s*b' < s'*b in integers, with 1 for an empty
-    ball, whose sphere is empty too.
-    """
-    b2, s2, x2 = best
-    if (b == 0) != (b2 == 0):
-        return b2 == 0
-    lhs, rhs = s * (b2 or 1), s2 * (b or 1)
-    return lhs < rhs or (lhs == rhs and x < x2)
+    return min(pool, key=key)
 
 
 def choose_center(
@@ -391,13 +378,13 @@ def verify_certificate(cert: IntegrityCertificate) -> int:
 
     After the alpha check, an O(steps) pre-filter bounds the replay before
     any big-integer work: the claimed value must reach
-    `integrity_lower_bound(n)`, which no correct certificate can miss,
-    and the recorded counts must be sane.  The replay re-runs each step
-    with the peel's own block step, `_BlockState.remove`: the recomputed
-    counts must equal the recorded ones, and the separator, joined from
-    its blocks once at the end, must equal the stored one bit for bit.
-    That puts every component of Q_n minus the separator inside one
-    recorded ball, so only the largest one is recomputed (by BFS) and
+    `integrity_lower_bound(n)`, which no correct certificate can miss, the
+    recorded counts must be sane, and the replay may take at most
+    REPLAY_DRAW_BUDGET draws (else BudgetError).  Each step's center must
+    be among its `_draws` from the header's seed and T, and the peel's own
+    block step must recompute its counts; the separator must come out bit
+    for bit.  That puts every component of Q_n minus the separator inside
+    one recorded ball, so only the largest one is recomputed (by BFS) and
     checked against the C(n,<=r0) cap and the claimed value.  Raises
     VerificationError naming the first offender.
     """
@@ -416,8 +403,6 @@ def verify_certificate(cert: IntegrityCertificate) -> int:
         )
     ball_total = 0
     for i, step in enumerate(cert.steps):
-        if step.center < 0 or step.center >> n:
-            raise VerificationError(f"step {i} center does not fit n={n}")
         if step.ball_hits < 1:
             raise VerificationError(f"step {i} removed no vertices")
         ball_total += step.ball_hits
@@ -427,17 +412,33 @@ def verify_certificate(cert: IntegrityCertificate) -> int:
         )
     if cert.separator.n != n:
         raise VerificationError("separator dimension mismatch")
+    seed, samples = cert.config.seed, cert.config.samples
+    draws = len(cert.steps) * (samples + 1)
+    if draws > REPLAY_DRAW_BUDGET:
+        raise BudgetError(
+            f"replaying {len(cert.steps)} steps at T={samples} takes {draws} "
+            f"sampler draws, over the budget of {REPLAY_DRAW_BUDGET:.0e}"
+        )
     full = (1 << (1 << n)) - 1
     state = _BlockState(full, n, r0)
+    rng = random.Random(seed)
     for i, step in enumerate(cert.steps):
+        # The set is nonempty (and empty after the last step): the ball
+        # counts so far replayed as recorded, each >= 1, summing to 2^n.
+        pool = _draws(rng, n, samples, state.size)
+        # sum, not any: the rank is drawn after all T centers
+        drawn = sum(x == step.center for x in islice(pool, samples))
+        j = next(pool)
+        if not drawn and state.member(j) != step.center:
+            raise VerificationError(
+                f"step {i} center is no candidate at seed={seed} T={samples}"
+            )
         ball_hits, sphere_hits = state.remove(step.center)
         if (ball_hits, sphere_hits) != (step.ball_hits, step.sphere_hits):
             raise VerificationError(
                 f"step {i} replays as ball {ball_hits}, sphere "
                 f"{sphere_hits}; recorded {step.ball_hits}, {step.sphere_hits}"
             )
-    if state.size:
-        raise VerificationError("vertices survive the last step")
     sep = state.separator()
     if sep != cert.separator.bits:
         raise VerificationError(
@@ -522,16 +523,16 @@ def integrity_lower_bound(n: int) -> int:
 
 
 def middle_layer_baseline(n: int) -> int:
-    """Integrity value of the trivial cut: remove the middle layer.
+    """Integrity value of the trivial cut: remove the middle layer k = n//2.
 
-    Measured by actual removal and component sizing, not a closed form.
+    What survives is B(0, k-1) and the ball of radius n-k-1 around the
+    full set: no edge joins them, as an edge changes the weight by one,
+    and each is connected, as a member reaches its ball's center one bit
+    flip at a time.  The larger is C(n, <= n-k-1) = C(n, <= (n-1)//2).
     """
     if n < 2:
         raise DomainError(f"baseline needs n >= 2, got n={n}")
-    cut = layer(n, n // 2)
-    alive = cut.complement().bits
-    sizes = flood_component_sizes(alive, n)
-    return cut.size + (max(sizes) if sizes else 0)
+    return math.comb(n, n // 2) + binom_leq(n, (n - 1) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,47 @@ class TestPeelVerify:
         cert.write_text("\n".join(lines) + "\n")
         code, _, err = run_cli(capsys, "verify", str(cert))
         assert code == 4
-        assert "sphere" in err or "value" in err
+        assert "sphere" in err or "value" in err or "candidate" in err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("seed=0", "seed=1"), ("T=32", "T=31"), ("T=32", "T=33")],
+        ids=["seed", "fewer_samples", "more_samples"],
+    )
+    def test_edited_sampler_settings_exit_4(self, capsys, tmp_path, old, new):
+        # the audit replays the sampler the header names, so another seed
+        # or T offers other candidates than the recorded centers
+        cert = tmp_path / "cert.txt"
+        run_cli(capsys, "peel", "8", "--out", str(cert))
+        text = cert.read_text()
+        cert.write_text(text.replace(old, new, 1))
+        code, out, err = run_cli(capsys, "verify", str(cert))
+        assert code == 4
+        assert out == ""
+        assert "candidate" in err and new in err
+
+    def test_forged_sample_count_exits_3_at_once(self, capsys, tmp_path):
+        cert = tmp_path / "cert.txt"
+        run_cli(capsys, "peel", "8", "--out", str(cert))
+        cert.write_text(cert.read_text().replace("T=32", f"T={10**12}", 1))
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", str(cert))
+        assert code == 3
+        assert out == ""
+        assert "budget" in err
+        assert time.perf_counter() - t0 < 1
+
+    def test_zero_samples_certificate_verifies(self, capsys, tmp_path):
+        # each step's only candidate is the member of the drawn rank
+        cert = tmp_path / "cert.txt"
+        code, out, _ = run_cli(
+            capsys, "peel", "9", "--samples", "0", "--out", str(cert)
+        )
+        assert code == 0
+        assert kv(out)["samples"] == "0"
+        code, out, _ = run_cli(capsys, "verify", str(cert))
+        assert code == 0
+        assert kv(out)["ok"] == "true"
 
     def test_value_below_the_lower_bound_exits_4(self, capsys, tmp_path):
         cert = tmp_path / "cert.txt"
@@ -378,6 +418,24 @@ class TestSweepCommand:
         assert code == 0
         assert "naive" in lines[0]
         assert len(lines) == 3
+
+    def test_rho_refuses_every_n_before_the_first_peel(self, capsys,
+                                                       monkeypatch):
+        import vcube.integrity as integ
+
+        calls = []
+        real = integ.peel
+
+        def recorder(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(integ, "peel", recorder)
+        code, out, err = run_cli(capsys, "sweep", "rho", "8..30:22")
+        assert code == 2
+        assert out == ""
+        assert "n=30" in err
+        assert calls == []
 
     def test_bounds_rows_ordered(self, capsys):
         code, out, _ = run_cli(

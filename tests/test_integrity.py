@@ -26,6 +26,7 @@ from vcube import (
     density_audit,
     exact_integrity,
     integrity_lower_bound,
+    layer,
     mask_elements,
     middle_layer_baseline,
     peel,
@@ -34,7 +35,11 @@ from vcube import (
     translate_bits,
     verify_certificate,
 )
-from vcube.cube import _ball_bits, _component_index_lists
+from vcube.cube import (
+    _ball_bits,
+    _component_index_lists,
+    flood_component_sizes,
+)
 from vcube.integrity import (
     _block_split,
     _blocks,
@@ -490,6 +495,13 @@ class TestBaseline:
             else:
                 big = (2**n - cut) // 2
             assert middle_layer_baseline(n) == cut + big
+
+    def test_matches_the_measured_cut(self):
+        # the second route: remove the layer, flood what is left
+        for n in range(2, 15):
+            cut = layer(n, n // 2)
+            sizes = flood_component_sizes(cut.complement().bits, n)
+            assert middle_layer_baseline(n) == cut.size + max(sizes), n
 
     def test_dominates_exact_integrity(self):
         for n in (2, 3, 4):
