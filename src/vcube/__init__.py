@@ -69,15 +69,17 @@ from .counting import (
     m_candidate_count,
     maximal_count_bounds,
 )
-from .integrity import (
-    DensityRow,
+from .certificate import (
     IntegrityCertificate,
     PeelConfig,
     PeelStep,
     RadiusParams,
-    census,
     certificate_from_text,
     certificate_to_text,
+)
+from .integrity import (
+    DensityRow,
+    census,
     choose_center,
     density_audit,
     exact_integrity,

@@ -12,7 +12,6 @@ vertex prints as an n-character bitstring with element n leftmost
 from __future__ import annotations
 
 import math
-from collections import deque
 from functools import lru_cache
 from itertools import accumulate
 from operator import or_
@@ -145,6 +144,63 @@ def subcube_bits(x: int, n: int) -> int:
         x >>= 1
         i += 1
     return bits
+
+
+# ---------------------------------------------------------------------------
+# Blocks: a 2^(h+L)-bit vector as 2^h ints of 2^L bits, back, and across.
+# ---------------------------------------------------------------------------
+
+
+def _blocks(bits: int, h: int, low: int) -> List[int]:
+    """Block i of the 2^(h+low)-bit vector: its bits [i*2^low, (i+1)*2^low),
+    cut by recursive halving, one path for every block size."""
+    if not h:
+        return [bits]
+    width = 1 << (h - 1 + low)
+    return (_blocks(bits & (1 << width) - 1, h - 1, low)
+            + _blocks(bits >> width, h - 1, low))
+
+
+def _join(blocks: List[int], low: int) -> int:
+    """The vector whose blocks of 2^low bits are `blocks`, joined by
+    recursive halving; undoes `_blocks`."""
+    if len(blocks) == 1:
+        return blocks[0]
+    half = len(blocks) >> 1
+    return (_join(blocks[:half], low)
+            | _join(blocks[half:], low) << (half << low))
+
+
+def _transpose(blocks: List[int], low: int) -> List[int]:
+    """The 2^low columns of the bit matrix whose rows are `blocks`: bit yh
+    of column yl is bit yl of row yh.
+
+    The joined vector's index (yh, yl) becomes (yl, yh) when its n
+    coordinates are reversed and then each part's own: one delta swap per
+    pair of coordinates, about n word-parallel passes over 2^n bits and
+    no per-vertex work.
+    """
+    h = (len(blocks) - 1).bit_length()
+    n = h + low
+    bits = _join(blocks, low)
+    pairs = ([(c, n - 1 - c) for c in range(n // 2)]
+             + [(c, h - 1 - c) for c in range(h // 2)]
+             + [(h + c, n - 1 - c) for c in range(low // 2)])
+    for i, j in pairs:
+        # the indices with coordinate i set and j clear, which swap with
+        # the ones 2^j - 2^i above them
+        mask, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while width < 1 << j:
+            mask |= mask << width
+            width <<= 1
+        width <<= 1
+        while width < 1 << n:
+            mask |= mask << width
+            width <<= 1
+        delta = (1 << j) - (1 << i)
+        t = (bits ^ bits >> delta) & mask
+        bits ^= t | t << delta
+    return _blocks(bits, low, h)
 
 
 def _gosper(width: int, k: int) -> Iterator[int]:
@@ -344,8 +400,9 @@ def ball(n: int, x: int, r: int) -> Family:
 def _component_index_lists(bits: int, n: int) -> Iterator[List[int]]:
     """Yield each component as an ascending-seeded list of vertex indices.
 
-    Iterative breadth-first search over a byte table; no recursion, so
-    large instances cannot exhaust the call stack.
+    Iterative breadth-first search over a byte table, the component's
+    list serving as its queue; no recursion, so large instances cannot
+    exhaust the call stack.
     """
     if not bits:
         return
@@ -361,15 +418,12 @@ def _component_index_lists(bits: int, n: int) -> Iterator[List[int]]:
         v0 = pos * 8 + _BIT_POSITIONS[byte][0]
         data[v0 >> 3] &= ~(1 << (v0 & 7))
         comp = [v0]
-        queue = deque((v0,))
-        while queue:
-            v = queue.popleft()
+        for v in comp:  # a list iterator reaches what is appended to it
             for b in nbits:
                 u = v ^ b
                 if data[u >> 3] >> (u & 7) & 1:
                     data[u >> 3] &= ~(1 << (u & 7))
                     comp.append(u)
-                    queue.append(u)
         yield comp
 
 

@@ -4,13 +4,23 @@ The radius r0 = floor(n/2 - alpha*sqrt(n)) comes from solving
 exp(-2*alpha^2)/alpha = sqrt(ln n)/sqrt(n).  Peeling repeatedly picks,
 among sampled centers, one whose radius-r0 sphere is cheap relative to
 its ball within the still-alive family, removes the ball, and charges
-only the sphere to the separator; the sets live as blocks on the top
-coordinates (`_BlockState`).  The largest component of the cube minus
-the separator is C(n, <= r0-1), in closed form.  A certificate stores
-the sampler's seed and T, the transcript (centers and their ball/sphere
-counts), the separator and the claimed value.  The audit checks the
-value against `integrity_lower_bound`, replays the peel's own sampler
-draws and block step, and recomputes the largest component by BFS.
+only the sphere to the separator.  The largest component of the cube
+minus the separator is C(n, <= r0-1), in closed form.  The certificate
+(`certificate.py`) stores the sampler's seed and T, the transcript
+(centers and their ball/sphere counts), the separator and the claimed
+value.  The audit checks the value against `integrity_lower_bound`,
+replays the peel's own sampler draws and block step, and recomputes the
+largest component by BFS.
+
+The sets live in `_BlockState`, a bit matrix with one row per top part
+and one column per low part of a vertex, kept in both orientations.  A
+candidate's census reads the rows near its top part, masked by balls
+around its low part, and the far rings from the columns near its low
+part, masked by balls around its top part; one rule (`_near_rings`)
+sets where rows give way to columns, from n and r0 alone.  Each
+orientation holds 2^n bits.  The top-part balls are translated afresh
+for every census and remove, since a memo on the top part would grow as
+4^h; the low-part balls, 2^10 at most, are memoised.
 """
 
 from __future__ import annotations
@@ -26,25 +36,33 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .cube import (
     Family,
     _ball_bits,
+    _blocks,
     _check_mask,
     _component_index_lists,
     _gosper,
-    _hex_digits,
-    _hex_family,
+    _join,
+    _transpose,
     binom_leq,
     flood_component_sizes,
-    format_mask,
     log_binom,
     log_binom_leq,
     max_dim,
-    parse_mask,
-    read_header,
     translate_bits,
+)
+from .certificate import (
+    IntegrityCertificate,
+    PeelConfig,
+    PeelStep,
+    RadiusParams,
+    _radius_gap,
+    _radius_target,
+    # not used here: the CLI and the benchmark call them through this module
+    certificate_from_text,
+    certificate_to_text,
 )
 from .errors import (
     BudgetError,
     DomainError,
-    ParseError,
     SolverError,
     VerificationError,
 )
@@ -53,73 +71,6 @@ RESIDUAL_TOL = 1e-12
 
 # Sampler draws one audit may replay, steps * (T + 1): a few seconds.
 REPLAY_DRAW_BUDGET = 10**7
-
-
-def _radius_target(n: int) -> float:
-    return math.sqrt(math.log(n)) / math.sqrt(n)
-
-
-@dataclass(frozen=True)
-class RadiusParams:
-    """Solved deletion radius for one dimension; r0 derives from alpha."""
-
-    n: int
-    alpha: float
-
-    @property
-    def r0(self) -> int:
-        return max(0, math.floor(self.n / 2 - self.alpha * math.sqrt(self.n)))
-
-    @property
-    def residual(self) -> float:
-        return abs(_radius_gap(self.alpha, _radius_target(self.n)))
-
-
-@dataclass(frozen=True)
-class PeelConfig:
-    """Sampler settings: candidate centers per step and the RNG seed."""
-
-    samples: int = 32
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.samples < 0:
-            raise DomainError(f"samples must be >= 0, got {self.samples}")
-
-
-@dataclass(frozen=True)
-class PeelStep:
-    center: int
-    ball_hits: int
-    sphere_hits: int
-
-
-@dataclass(frozen=True)
-class IntegrityCertificate:
-    """Complete peel transcript plus the claimed integrity upper bound."""
-
-    params: RadiusParams
-    config: PeelConfig
-    steps: Tuple[PeelStep, ...]
-    separator: Family
-    value: int
-
-    @property
-    def n(self) -> int:
-        return self.params.n
-
-    @property
-    def separator_size(self) -> int:
-        return self.separator.size
-
-    @property
-    def max_component(self) -> int:
-        """The claimed largest component: value minus the separator."""
-        return self.value - self.separator.size
-
-
-def _radius_gap(alpha: float, target: float) -> float:
-    return math.exp(-2.0 * alpha * alpha) / alpha - target
 
 
 def solve_radius(n: int) -> RadiusParams:
@@ -155,7 +106,12 @@ def solve_radius(n: int) -> RadiusParams:
 
 
 def census(family: Family, x: int, r0: int) -> Tuple[int, int]:
-    """(|ball ∩ F|, |sphere ∩ F|) at radius r0 around x."""
+    """(|ball ∩ F|, |sphere ∩ F|) at radius r0 around x.
+
+    Where the split rule reads columns (at the solved radius, n >= 16),
+    one call also builds them: about n word-parallel passes over the
+    2^n-bit vector, which costs far more than the census itself.
+    """
     n = family.n
     if not 0 <= r0 <= n:
         raise DomainError(f"radius r0={r0} outside [0, {n}]")
@@ -173,48 +129,65 @@ def _block_split(n: int) -> Tuple[int, int]:
     return h, n - h
 
 
-def _blocks(bits: int, h: int, low: int) -> List[int]:
-    """Block i of the 2^(h+low)-bit vector: its bits [i*2^low, (i+1)*2^low),
-    cut by recursive halving, one path for every block size."""
-    if not h:
-        return [bits]
-    width = 1 << (h - 1 + low)
-    return (_blocks(bits & (1 << width) - 1, h - 1, low)
-            + _blocks(bits >> width, h - 1, low))
+def _near_rings(h: int, low: int, r0: int) -> int:
+    """The split rule: the census reads row blocks at top distance up to
+    `near` and columns past it.
 
+    Rows cost one read per h-bit e with |e| <= near, columns one per L-bit
+    e with |e| <= r0 - near - 1, and the column path one stacked translate
+    besides, counted as h.  The least total wins; ties go to rows only,
+    near = min(r0, h), which is every n <= 15 at the solved radius, and
+    every h <= 2, so n = 1 (L = 0) never reads columns.
+    """
+    top = min(r0, h)
 
-def _join(blocks: List[int], low: int) -> int:
-    """The vector whose blocks of 2^low bits are `blocks`, joined by
-    recursive halving; undoes `_blocks`."""
-    if len(blocks) == 1:
-        return blocks[0]
-    half = len(blocks) >> 1
-    return (_join(blocks[:half], low)
-            | _join(blocks[half:], low) << (half << low))
+    def reads(near: int) -> int:
+        rows = binom_leq(h, near)
+        if near == top:
+            return rows
+        return rows + binom_leq(low, min(r0 - near - 1, low)) + h
+
+    return min(range(top, -1, -1), key=reads)
 
 
 class _BlockState:
-    """A vertex set of Q_n and its separator, as 2^h blocks of 2^L bits.
+    """A vertex set of Q_n and its separator, as a bit matrix in two
+    orientations: 2^h row blocks of 2^L bits, and 2^L columns of 2^h bits.
 
-    With n = h + L (`_block_split`), block yh holds the vertices (yh, yl).
-    A center x = (xh, xl) meets block xh ^ e, for |e| = d <= r0, in the
-    radius-(r0 - d) ball around xl in Q_L, and its radius-r0 sphere in
-    that ball minus the radius-(r0 - d - 1) one.  So the high part is a
-    list index and the low part a mask, T_xl(B_L(r)), where B_L(r) is
-    `_ball_bits(L, min(r, L))`, the low 2^L bits of B_n(r): no 2^n-bit
-    table is built, and no 2^n-bit vector is split, translated or
-    searched after construction.
+    With n = h + L (`_block_split`), row block yh and column yl both hold
+    vertex (yh, yl).  A center x = (xh, xl) meets block xh ^ e, for
+    |e| = d <= r0, in the radius-(r0 - d) ball around xl in Q_L, and its
+    radius-r0 sphere in that ball minus the radius-(r0 - d - 1) one.  So
+    the high part is a list index and the low part a mask, T_xl(B_L(r)),
+    where B_L(r) is `_ball_bits(L, min(r, L))`, the low 2^L bits of
+    B_n(r): no 2^n-bit table is built, and no 2^n-bit vector is
+    translated or searched after construction.
+
+    The far rings, at top distance d > `near` (`_near_rings`), meet few
+    low vertices per block, so the census reads them from the columns
+    instead: column xl ^ e, for |e| = j <= r0 - near - 1, meets the ball
+    in T_xh(B_h(r0 - j) minus B_h(near)).  The r0 + 1 balls B_h(r) sit in
+    lanes of 2^h bits of one int, `tops`, translated by xh in dimension
+    h + bit_length(r0) < n once per census or remove: a memo on xh would
+    hold 4^h * (r0 + 1) bits, about 300 MiB at n = 24.  The first census
+    builds the columns, 2^n bits in all like the rows, by `_transpose`:
+    one join of the rows and word-parallel coordinate swaps.  From then
+    on `remove` clears its ball from the columns too.  The audit never
+    takes a census, so it keeps the rows alone.
 
     `base` holds B_L(r) for r = 0..r0, and `masks` maps xl to their
     translates (T_xl(B_L(r)) for r = 0..r0), filled on first use, so each
     xl is translated once per state: at most 2^10 * (r0 + 1) ints of 2^10
     bits, about 1 MiB at n = 18.  `rings[d]` lists the h-bit e with
-    |e| = d.  `counts` holds each block's popcount and `size` their
-    sum; `sep` holds the separator's blocks.
+    |e| = d, `row_rings` those the census reads as rows (d <= near), and
+    `low_rings[j]` the L-bit e with |e| = j; `far` says whether the
+    census reads columns at all.  `counts` holds each block's popcount
+    and `size` their sum; `sep` holds the separator's blocks.
     """
 
     __slots__ = ("n", "r0", "low", "blocks", "counts", "size", "sep",
-                 "rings", "base", "masks")
+                 "rings", "base", "masks", "row_rings", "far", "cols",
+                 "low_rings", "tops")
 
     def __init__(self, bits: int, n: int, r0: int):
         h, low = _block_split(n)
@@ -226,6 +199,10 @@ class _BlockState:
         self.rings = [list(_gosper(h, d)) for d in range(min(r0, h) + 1)]
         self.base = tuple(_ball_bits(low, min(r, low)) for r in range(r0 + 1))
         self.masks: Dict[int, Tuple[int, ...]] = {}
+        near = _near_rings(h, low, r0)
+        self.row_rings = self.rings[:near + 1]
+        self.far = near < min(r0, h)
+        self.cols = None  # built by the first census
 
     def _balls(self, xl: int) -> Tuple[int, ...]:
         balls = self.masks.get(xl)
@@ -235,22 +212,53 @@ class _BlockState:
             )
         return balls
 
+    def _top_balls(self, xh: int) -> List[int]:
+        """T_xh(B_h(r)) for r = 0..r0, from one translate of `tops`."""
+        h, r0 = self.n - self.low, self.r0
+        stacked = translate_bits(self.tops, xh, h + r0.bit_length())
+        lane = (1 << (1 << h)) - 1
+        return [stacked >> (r << h) & lane for r in range(r0 + 1)]
+
     def census(self, x: int) -> Tuple[int, int]:
         """(ball, sphere) counts of the set at radius r0 around x.
 
         The sphere count is b minus the same sum at radius r0 - 1.
         """
         low, r0, blocks = self.low, self.r0, self.blocks
-        xh = x >> low
-        balls = self._balls(x & ((1 << low) - 1))
+        xh, xl = x >> low, x & ((1 << low) - 1)
+        balls = self._balls(xl)
         b = inner = 0
-        for d, ring in enumerate(self.rings):
+        for d, ring in enumerate(self.row_rings):
             outer = balls[r0 - d]
             inside = balls[r0 - d - 1] if d < r0 else 0
             for e in ring:
                 block = blocks[xh ^ e]
                 b += (block & outer).bit_count()
                 inner += (block & inside).bit_count()
+        if self.far:
+            if self.cols is None:
+                h = self.n - low
+                self.cols = _transpose(blocks, low)
+                self.low_rings = [
+                    list(_gosper(low, j)) for j in range(min(r0, low) + 1)
+                ]
+                self.tops = _join(
+                    [_ball_bits(h, min(r, h)) for r in range(r0 + 1)], h
+                )
+            near = len(self.row_rings) - 1
+            cols, tops = self.cols, self._top_balls(xh)
+            beyond = ~tops[near]
+            for j, ring in enumerate(self.low_rings[:r0 - near]):
+                outer = tops[r0 - j] & beyond
+                inside = tops[r0 - j - 1] & beyond
+                if inside:
+                    for e in ring:
+                        col = cols[xl ^ e]
+                        b += (col & outer).bit_count()
+                        inner += (col & inside).bit_count()
+                else:
+                    for e in ring:
+                        b += (cols[xl ^ e] & outer).bit_count()
         return b, b - inner
 
     def remove(self, x: int) -> Tuple[int, int]:
@@ -259,8 +267,8 @@ class _BlockState:
         peel and the audit both call this."""
         low, r0 = self.low, self.r0
         blocks, counts, sep = self.blocks, self.counts, self.sep
-        xh = x >> low
-        balls = self._balls(x & ((1 << low) - 1))
+        xh, xl = x >> low, x & ((1 << low) - 1)
+        balls = self._balls(xl)
         b = s = 0
         for d, ring in enumerate(self.rings):
             outer = balls[r0 - d]
@@ -277,6 +285,16 @@ class _BlockState:
                     b += c
                     s += shell.bit_count()
         self.size -= b
+        cols = self.cols
+        if cols is not None:
+            tops = self._top_balls(xh)
+            for j, ring in enumerate(self.low_rings):
+                ball = tops[r0 - j]
+                for e in ring:
+                    k = xl ^ e
+                    hit = cols[k] & ball
+                    if hit:
+                        cols[k] ^= hit
         return b, s
 
     def member(self, j: int) -> int:
@@ -325,7 +343,12 @@ def _choose_center(
 def choose_center(
     family: Family, r0: int, cfg: PeelConfig, rng: Optional[random.Random] = None
 ) -> int:
-    """Public face of the center chooser: returns the winning mask."""
+    """Public face of the center chooser: returns the winning mask.
+
+    Where the split rule reads columns (at the solved radius, n >= 16),
+    the first census builds them for the family: about n word-parallel
+    passes over its 2^n-bit vector, more than a census costs.
+    """
     if not family.bits:
         raise DomainError("cannot choose a center for the empty family")
     if not 0 <= r0 <= family.n:
@@ -588,72 +611,3 @@ def density_audit(dims: Sequence[int]) -> List[DensityRow]:
             n, p.alpha, p.r0, math.exp(log_ball), math.exp(log_sphere)
         ))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Certificate serialization.
-#
-#   n=<n> alpha=<repr> r0=<r0, as alpha gives it> seed=<seed> T=<samples>
-#   <i> <center bitstring> <ball_hits> <sphere_hits>     (i = 0, 1, ...)
-#   separator=<hex characteristic vector>                (once)
-#   value=<claimed value>                                (once, last)
-# ---------------------------------------------------------------------------
-
-
-def certificate_to_text(cert: IntegrityCertificate) -> str:
-    lines = [
-        f"n={cert.n} alpha={cert.params.alpha!r} r0={cert.params.r0} "
-        f"seed={cert.config.seed} T={cert.config.samples}"
-    ]
-    for i, s in enumerate(cert.steps):
-        lines.append(
-            f"{i} {format_mask(s.center, cert.n)} "
-            f"{s.ball_hits} {s.sphere_hits}"
-        )
-    lines.append(f"separator={_hex_digits(cert.separator)}")
-    lines.append(f"value={cert.value}")
-    return "\n".join(lines) + "\n"
-
-
-def certificate_from_text(text: str) -> IntegrityCertificate:
-    head, body = read_header(text, alpha=float, r0=int, seed=int, T=int)
-    n, alpha = head["n"], head["alpha"]
-    if n < 3:
-        raise ParseError(f"n={n} is below 3", lineno=1)
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ParseError(f"alpha={alpha!r} is not a positive number", lineno=1)
-    params = RadiusParams(n, alpha)
-    if head["r0"] != params.r0:
-        raise ParseError(f"r0 should be {params.r0} for this alpha", lineno=1)
-    steps = []
-    separator = value = None
-    lineno = 1
-    for lineno, ln in body:
-        if separator is not None:
-            if value is not None or not ln.startswith("value="):
-                raise ParseError("value= must come once, last", lineno=lineno)
-            try:
-                value = int(ln[len("value=") :])
-            except ValueError:
-                raise ParseError("bad claimed value", lineno=lineno) from None
-            continue
-        if ln.startswith("separator="):
-            separator = _hex_family(ln[len("separator=") :], n, lineno)
-            continue
-        parts = ln.split()
-        if len(parts) != 4:
-            raise ParseError("expected 'i center ball sphere'", lineno=lineno)
-        try:
-            idx, ball_hits, sphere_hits = (int(parts[i]) for i in (0, 2, 3))
-            center = parse_mask(parts[1], n)
-        except (ValueError, DomainError) as exc:
-            raise ParseError(str(exc), lineno=lineno) from None
-        if idx != len(steps):
-            raise ParseError(f"expected step {len(steps)}", lineno=lineno)
-        steps.append(PeelStep(center, ball_hits, sphere_hits))
-    if value is None:
-        raise ParseError(
-            "certificate truncated: missing separator or value", lineno=lineno
-        )
-    config = PeelConfig(samples=head["T"], seed=head["seed"])
-    return IntegrityCertificate(params, config, tuple(steps), separator, value)

@@ -37,13 +37,16 @@ from vcube import (
 )
 from vcube.cube import (
     _ball_bits,
+    _blocks,
     _component_index_lists,
+    _join,
+    _transpose,
     flood_component_sizes,
 )
 from vcube.integrity import (
     _block_split,
-    _blocks,
-    _join,
+    _BlockState,
+    _near_rings,
     _radius_gap,
 )
 
@@ -188,7 +191,8 @@ class TestChooseCenter:
     def test_blocks_and_join_every_split(self):
         # one halving path for every block size, L < 3 (under a byte)
         # included: block i is v >> (i << L) cut to 2^L bits, and the
-        # join gives v back
+        # join gives v back; column j of the transpose holds bit j of
+        # every block
         rng = random.Random(48)
         for n in range(1, 15):
             for h in range(n + 1):
@@ -200,6 +204,83 @@ class TestChooseCenter:
                         v >> (i << low) & full for i in range(1 << h)
                     ], (n, h)
                     assert _join(blocks, low) == v, (n, h)
+                    if n <= 10:
+                        assert _transpose(blocks, low) == [
+                            sum((b >> j & 1) << i for i, b in enumerate(blocks))
+                            for j in range(1 << low)
+                        ], (n, h)
+
+    def test_split_rule(self):
+        # blocks read per candidate, rows plus columns, at the solved
+        # radius: rows only up to n = 15, then far fewer than the rows
+        reads = {16: 33, 18: 93, 20: 232, 22: 465, 24: 744}
+        for n in range(3, 29):
+            h, low = _block_split(n)
+            r0 = solve_radius(n).r0
+            near = _near_rings(h, low, r0)
+            top = min(r0, h)
+            got = binom_leq(h, near)
+            if near < top:
+                got += binom_leq(low, r0 - near - 1)
+            if n <= 15:
+                assert near == top, n
+            assert got == reads.get(n, got), n
+        # h <= 2 never pays for columns, so n = 1 (L = 0) keeps the rows
+        for n in range(1, 9):
+            h, low = _block_split(n)
+            for r0 in range(n + 1):
+                assert _near_rings(h, low, r0) == min(r0, h), (n, r0)
+
+    def test_every_split_counts_alike(self, monkeypatch):
+        # a second route for each split of the rings into rows and
+        # columns: the census matches a hand scan of the distances, also
+        # after removes (the columns stay in step with the rows), and a
+        # peel is byte-identical to the rows-only one
+        import vcube.integrity as integ
+
+        rng = random.Random(50)
+        for n in range(3, 13):
+            h, low = _block_split(n)
+            for r0 in range(n + 1):
+                for near in range(min(r0, h) + 1):
+                    monkeypatch.setattr(integ, "_near_rings",
+                                        lambda *args: near)
+                    dense = [y for y in range(1 << n) if rng.random() < 0.7]
+                    sparse = rng.sample(range(1 << n), min(6, 1 << n))
+                    one = [rng.getrandbits(n)]
+                    for members in (dense, sparse, one):
+                        alive = set(members)
+                        state = _BlockState(
+                            Family.from_masks(n, members).bits, n, r0
+                        )
+                        # a remove before the first census, or none
+                        for i in range(rng.randrange(2), 9):
+                            if i % 2:
+                                y = rng.getrandbits(n)
+                                state.remove(y)
+                                alive = {m for m in alive
+                                         if (m ^ y).bit_count() > r0}
+                                continue
+                            x = rng.getrandbits(n)
+                            dists = [(m ^ x).bit_count() for m in alive]
+                            assert state.census(x) == (
+                                sum(d <= r0 for d in dists),
+                                sum(d == r0 for d in dists),
+                            ), (n, r0, near, len(members), i)
+        for n in range(8, 13):
+            h, low = _block_split(n)
+            r0 = solve_radius(n).r0
+            for seed in range(3):
+                cfg = PeelConfig(seed=seed)
+                monkeypatch.setattr(integ, "_near_rings",
+                                    lambda *args: min(r0, h))
+                rows = certificate_to_text(peel(n, cfg))
+                for near in range(min(r0, h)):
+                    monkeypatch.setattr(integ, "_near_rings",
+                                        lambda *args: near)
+                    assert certificate_to_text(peel(n, cfg)) == rows, (
+                        n, seed, near
+                    )
 
     def test_ball_tables_stay_below_dimension_n(self, monkeypatch):
         # the ball masks are cut from L-dimensional tables, so neither the
@@ -253,7 +334,10 @@ class TestChooseCenter:
     def test_peel_translates_each_low_mask_once(self, monkeypatch):
         # the peel and the audit keep alive and separator as blocks, so
         # neither translates at dimension n; each keeps one mask memo for
-        # its whole run, so every (mask, xl) pair is translated once
+        # its whole run, so every (mask, xl) pair is translated once.  At
+        # n = 16 the census reads far rings from the columns: each census
+        # and each remove after the first census translates the stacked
+        # top-part balls once, and the audit, which takes no census, never
         import vcube.integrity as integ
 
         calls = []
@@ -263,14 +347,25 @@ class TestChooseCenter:
             return translate_bits(bits, x, n)
 
         monkeypatch.setattr(integ, "translate_bits", recording)
-        n = 12
-        cert = peel(n)
-        assert calls and len(calls) == len(set(calls))
-        peeled = len(calls)
-        assert verify_certificate(cert) == cert.value
-        audit = calls[peeled:]
-        assert audit and len(audit) == len(set(audit))
-        assert max(c[2] for c in calls) < n
+        for n in (12, 16):
+            h, low = _block_split(n)
+            r0 = solve_radius(n).r0
+            columns = _near_rings(h, low, r0) < min(r0, h)
+            assert columns == (n == 16)
+            calls.clear()
+            cert = peel(n)
+            peeled = calls[:]
+            calls.clear()
+            assert verify_certificate(cert) == cert.value
+            for run in (peeled, calls):
+                masks = [c for c in run if c[2] == low]
+                assert masks and len(masks) == len(set(masks)), n
+            stacked = [c[2] for c in peeled if c[2] != low]
+            censuses = len(cert.steps) * (cert.config.samples + 1)
+            assert len(stacked) == (censuses + len(cert.steps)) * columns
+            assert set(stacked) <= {h + r0.bit_length()}
+            assert h + r0.bit_length() < n
+            assert all(c[2] == low for c in calls), n
 
     def test_radius_outside_the_cube_rejected(self):
         with pytest.raises(DomainError, match="radius"):
