@@ -12,7 +12,6 @@ from .cube import (
     Family,
     ball,
     binom_leq,
-    components,
     family_from_text,
     family_to_text,
     format_mask,
@@ -29,6 +28,7 @@ from .cube import (
     subcube_bits,
     translate_bits,
 )
+from .graph import components
 from .errors import (
     BudgetError,
     DomainError,

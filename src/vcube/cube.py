@@ -15,7 +15,7 @@ import math
 from functools import lru_cache
 from itertools import accumulate
 from operator import or_
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from .errors import DomainError, ParseError
 
@@ -390,87 +390,6 @@ def ball(n: int, x: int, r: int) -> Family:
     if not 0 <= r <= n:
         raise DomainError(f"radius r={r} outside [0, {n}]")
     return Family(n, translate_bits(_ball_bits(n, r), x, n))
-
-
-# ---------------------------------------------------------------------------
-# Connected components under Q_n adjacency restricted to a family.
-# ---------------------------------------------------------------------------
-
-
-def _component_index_lists(bits: int, n: int) -> Iterator[List[int]]:
-    """Yield each component as an ascending-seeded list of vertex indices.
-
-    Iterative breadth-first search over a byte table, the component's
-    list serving as its queue; no recursion, so large instances cannot
-    exhaust the call stack.
-    """
-    if not bits:
-        return
-    data = bytearray(bits.to_bytes(_byte_len(n), "little"))
-    nbits = [1 << i for i in range(n)]
-    pos = 0
-    size = len(data)
-    while pos < size:
-        byte = data[pos]
-        if not byte:
-            pos += 1
-            continue
-        v0 = pos * 8 + _BIT_POSITIONS[byte][0]
-        data[v0 >> 3] &= ~(1 << (v0 & 7))
-        comp = [v0]
-        for v in comp:  # a list iterator reaches what is appended to it
-            for b in nbits:
-                u = v ^ b
-                if data[u >> 3] >> (u & 7) & 1:
-                    data[u >> 3] &= ~(1 << (u & 7))
-                    comp.append(u)
-        yield comp
-
-
-def components(family: Family) -> List[Family]:
-    """Partition a family into maximal connected pieces of Q_n."""
-    n = family.n
-    return [
-        Family.from_masks(n, comp)
-        for comp in _component_index_lists(family.bits, n)
-    ]
-
-
-def flood_component_sizes(
-    bits: int, n: int, limit: Optional[int] = None
-) -> List[int]:
-    """Component sizes by word-parallel flood fill.
-
-    Fast when components have small graph diameter (each round grows the
-    current component by one neighborhood layer); used by the exact
-    integrity oracle.  With a `limit`, the fill gives up as soon as the
-    component it is growing has more than `limit` vertices, and the list
-    then ends in `limit + 1`.
-    """
-    lows = _low_masks(n)
-    cap = bits.bit_count() if limit is None else limit
-    sizes = []
-    rem = bits
-    while rem:
-        comp = rem & -rem
-        size = 1
-        while size <= cap:
-            grown = comp
-            s = 1
-            for low in lows:
-                grown |= ((comp & low) << s) | ((comp >> s) & low)
-                s <<= 1
-            grown &= rem
-            if grown == comp:
-                break
-            comp = grown
-            size = comp.bit_count()
-        if size > cap:
-            sizes.append(cap + 1)
-            return sizes
-        sizes.append(size)
-        rem ^= comp
-    return sizes
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ minus the separator is C(n, <= r0-1), in closed form.  The certificate
 (centers and their ball/sphere counts), the separator and the claimed
 value.  The audit checks the value against `integrity_lower_bound`,
 replays the peel's own sampler draws and block step, and recomputes the
-largest component by BFS.
+largest component: the isolated vertices word-parallel, then a BFS of
+the rest.
 
 The sets live in `_BlockState`, a bit matrix with one row per top part
 and one column per low part of a vertex, kept in both orientations.  A
@@ -18,9 +19,10 @@ candidate's census reads the rows near its top part, masked by balls
 around its low part, and the far rings from the columns near its low
 part, masked by balls around its top part; one rule (`_near_rings`)
 sets where rows give way to columns, from n and r0 alone.  Each
-orientation holds 2^n bits.  The top-part balls are translated afresh
-for every census and remove, since a memo on the top part would grow as
-4^h; the low-part balls, 2^10 at most, are memoised.
+orientation holds 2^n bits.  The masks are memoised per low part, 2^10
+at most, and per top part, keyed on at most its low 2L - h bits so that
+this memo stays below the low-part one's size; a census translates
+nothing while h <= L, that is n <= 20.
 """
 
 from __future__ import annotations
@@ -38,16 +40,19 @@ from .cube import (
     _ball_bits,
     _blocks,
     _check_mask,
-    _component_index_lists,
     _gosper,
     _join,
     _transpose,
     binom_leq,
-    flood_component_sizes,
     log_binom,
     log_binom_leq,
     max_dim,
     translate_bits,
+)
+from .graph import (
+    _component_index_lists,
+    _drop_isolated,
+    flood_component_sizes,
 )
 from .certificate import (
     IntegrityCertificate,
@@ -106,17 +111,13 @@ def solve_radius(n: int) -> RadiusParams:
 
 
 def census(family: Family, x: int, r0: int) -> Tuple[int, int]:
-    """(|ball ∩ F|, |sphere ∩ F|) at radius r0 around x.
-
-    Where the split rule reads columns (at the solved radius, n >= 16),
-    one call also builds them: about n word-parallel passes over the
-    2^n-bit vector, which costs far more than the census itself.
-    """
+    """(|ball ∩ F|, |sphere ∩ F|) at radius r0 around x, read from the
+    row blocks alone: columns would cost a transpose of the family."""
     n = family.n
     if not 0 <= r0 <= n:
         raise DomainError(f"radius r0={r0} outside [0, {n}]")
     _check_mask(x, n)
-    return _BlockState(family.bits, n, r0).census(x)
+    return _BlockState(family.bits, n, r0, columns=False).census(x)
 
 
 def _block_split(n: int) -> Tuple[int, int]:
@@ -134,10 +135,11 @@ def _near_rings(h: int, low: int, r0: int) -> int:
     `near` and columns past it.
 
     Rows cost one read per h-bit e with |e| <= near, columns one per L-bit
-    e with |e| <= r0 - near - 1, and the column path one stacked translate
-    besides, counted as h.  The least total wins; ties go to rows only,
-    near = min(r0, h), which is every n <= 15 at the solved radius, and
-    every h <= 2, so n = 1 (L = 0) never reads columns.
+    e with |e| <= r0 - near - 1, and the column upkeep (the transpose, and
+    each remove's clearing of the columns) is counted as h besides.  The
+    least total wins; ties go to rows only, near = min(r0, h), which is
+    every n <= 15 at the solved radius, and every h <= 2, so n = 1 (L = 0)
+    never reads columns.
     """
     top = min(r0, h)
 
@@ -148,6 +150,14 @@ def _near_rings(h: int, low: int, r0: int) -> int:
         return rows + binom_leq(low, min(r0 - near - 1, low)) + h
 
     return min(range(top, -1, -1), key=reads)
+
+
+def _top_key_width(h: int, low: int) -> int:
+    """Bits of the top part that key the far-ring memo: all h while
+    h <= L (n <= 20), then three fewer for each top bit past L, down to
+    0.  So 2^k keys of 2^h-bit masks never pass the 4^L bits they take at
+    n = 20, and shrink past it while the rows and columns grow."""
+    return max(0, min(h, 3 * low - 2 * h))
 
 
 class _BlockState:
@@ -166,20 +176,22 @@ class _BlockState:
     The far rings, at top distance d > `near` (`_near_rings`), meet few
     low vertices per block, so the census reads them from the columns
     instead: column xl ^ e, for |e| = j <= r0 - near - 1, meets the ball
-    in T_xh(B_h(r0 - j) minus B_h(near)).  The r0 + 1 balls B_h(r) sit in
-    lanes of 2^h bits of one int, `tops`, translated by xh in dimension
-    h + bit_length(r0) < n once per census or remove: a memo on xh would
-    hold 4^h * (r0 + 1) bits, about 300 MiB at n = 24.  The first census
-    builds the columns, 2^n bits in all like the rows, by `_transpose`:
-    one join of the rows and word-parallel coordinate swaps.  From then
-    on `remove` clears its ball from the columns too.  The audit never
-    takes a census, so it keeps the rows alone.
+    in T_xh(B_h(r0 - j) minus B_h(near)).  The first census builds the
+    columns, 2^n bits in all like the rows, by `_transpose`: one join of
+    the rows and word-parallel coordinate swaps.  From then on `remove`
+    clears its ball from the columns too, with the balls B_h(r) stacked
+    in lanes of 2^h bits of one int, `tops`, and translated by xh in
+    dimension h + bit_length(r0) < n.  The audit never takes a census,
+    and `census` builds no columns, so both keep the rows alone.
 
     `base` holds B_L(r) for r = 0..r0, and `masks` maps xl to their
     translates (T_xl(B_L(r)) for r = 0..r0), filled on first use, so each
     xl is translated once per state: at most 2^10 * (r0 + 1) ints of 2^10
-    bits, about 1 MiB at n = 18.  `rings[d]` lists the h-bit e with
-    |e| = d, `row_rings` those the census reads as rows (d <= near), and
+    bits, about 1 MiB at n = 18.  `far_masks` does the same for the
+    far-ring masks, keyed on the low `_top_key_width` bits of xh; a
+    census translates them by the rest of xh, which is 0 while h <= L,
+    that is n <= 20.  `rings[d]` lists the h-bit e with |e| = d,
+    `row_rings` those the census reads as rows (d <= near), and
     `low_rings[j]` the L-bit e with |e| = j; `far` says whether the
     census reads columns at all.  `counts` holds each block's popcount
     and `size` their sum; `sep` holds the separator's blocks.
@@ -187,9 +199,9 @@ class _BlockState:
 
     __slots__ = ("n", "r0", "low", "blocks", "counts", "size", "sep",
                  "rings", "base", "masks", "row_rings", "far", "cols",
-                 "low_rings", "tops")
+                 "low_rings", "tops", "far_base", "far_masks", "key")
 
-    def __init__(self, bits: int, n: int, r0: int):
+    def __init__(self, bits: int, n: int, r0: int, columns: bool = True):
         h, low = _block_split(n)
         self.n, self.r0, self.low = n, r0, low
         self.blocks = _blocks(bits, h, low)
@@ -199,7 +211,7 @@ class _BlockState:
         self.rings = [list(_gosper(h, d)) for d in range(min(r0, h) + 1)]
         self.base = tuple(_ball_bits(low, min(r, low)) for r in range(r0 + 1))
         self.masks: Dict[int, Tuple[int, ...]] = {}
-        near = _near_rings(h, low, r0)
+        near = _near_rings(h, low, r0) if columns else min(r0, h)
         self.row_rings = self.rings[:near + 1]
         self.far = near < min(r0, h)
         self.cols = None  # built by the first census
@@ -212,12 +224,42 @@ class _BlockState:
             )
         return balls
 
-    def _top_balls(self, xh: int) -> List[int]:
-        """T_xh(B_h(r)) for r = 0..r0, from one translate of `tops`."""
-        h, r0 = self.n - self.low, self.r0
-        stacked = translate_bits(self.tops, xh, h + r0.bit_length())
+    def _lanes(self, stacked: int, xh: int, count: int) -> List[int]:
+        """The `count` lanes of 2^h bits of `stacked`, each translated by
+        xh, from one translate of the stack."""
+        h = self.n - self.low
+        stacked = translate_bits(stacked, xh, h + (count - 1).bit_length())
         lane = (1 << (1 << h)) - 1
-        return [stacked >> (r << h) & lane for r in range(r0 + 1)]
+        return [stacked >> (r << h) & lane for r in range(count)]
+
+    def _columns(self) -> None:
+        """Build the columns and the top-part tables the first census
+        needs."""
+        h, low, r0 = self.n - self.low, self.low, self.r0
+        near = len(self.row_rings) - 1
+        self.cols = _transpose(self.blocks, low)
+        self.low_rings = [list(_gosper(low, j))
+                          for j in range(min(r0, low) + 1)]
+        self.tops = _join([_ball_bits(h, min(r, h)) for r in range(r0 + 1)], h)
+        inner = _ball_bits(h, near)
+        self.far_base = _join([_ball_bits(h, min(r, h)) & ~inner
+                               for r in range(r0, near, -1)], h)
+        self.far_masks: Dict[int, Tuple[int, ...]] = {}
+        self.key = (1 << _top_key_width(h, low)) - 1
+
+    def _far(self, xh: int) -> Tuple[int, ...]:
+        """T_xh(B_h(r0 - j) minus B_h(near)) for j < r0 - near, then 0."""
+        key = xh & self.key
+        far = self.far_masks.get(key)
+        if far is None:
+            count = self.r0 + 1 - len(self.row_rings)
+            far = self.far_masks[key] = (
+                *self._lanes(self.far_base, key, count), 0)
+        rest = xh ^ key
+        if rest:
+            h = self.n - self.low
+            far = (*(translate_bits(m, rest, h) for m in far[:-1]), 0)
+        return far
 
     def census(self, x: int) -> Tuple[int, int]:
         """(ball, sphere) counts of the set at radius r0 around x.
@@ -237,20 +279,9 @@ class _BlockState:
                 inner += (block & inside).bit_count()
         if self.far:
             if self.cols is None:
-                h = self.n - low
-                self.cols = _transpose(blocks, low)
-                self.low_rings = [
-                    list(_gosper(low, j)) for j in range(min(r0, low) + 1)
-                ]
-                self.tops = _join(
-                    [_ball_bits(h, min(r, h)) for r in range(r0 + 1)], h
-                )
-            near = len(self.row_rings) - 1
-            cols, tops = self.cols, self._top_balls(xh)
-            beyond = ~tops[near]
-            for j, ring in enumerate(self.low_rings[:r0 - near]):
-                outer = tops[r0 - j] & beyond
-                inside = tops[r0 - j - 1] & beyond
+                self._columns()
+            cols, far = self.cols, self._far(xh)
+            for ring, outer, inside in zip(self.low_rings, far, far[1:]):
                 if inside:
                     for e in ring:
                         col = cols[xl ^ e]
@@ -287,7 +318,7 @@ class _BlockState:
         self.size -= b
         cols = self.cols
         if cols is not None:
-            tops = self._top_balls(xh)
+            tops = self._lanes(self.tops, xh, r0 + 1)
             for j, ring in enumerate(self.low_rings):
                 ball = tops[r0 - j]
                 for e in ring:
@@ -442,8 +473,7 @@ def verify_certificate(cert: IntegrityCertificate) -> int:
             f"replaying {len(cert.steps)} steps at T={samples} takes {draws} "
             f"sampler draws, over the budget of {REPLAY_DRAW_BUDGET:.0e}"
         )
-    full = (1 << (1 << n)) - 1
-    state = _BlockState(full, n, r0)
+    state = _BlockState((1 << (1 << n)) - 1, n, r0)
     rng = random.Random(seed)
     for i, step in enumerate(cert.steps):
         # The set is nonempty (and empty after the last step): the ball
@@ -468,7 +498,15 @@ def verify_certificate(cert: IntegrityCertificate) -> int:
             f"separator differs from the replayed sphere charges in "
             f"{(sep ^ cert.separator.bits).bit_count()} vertices"
         )
-    max_comp = max(map(len, _component_index_lists(sep ^ full, n)), default=0)
+    # the isolated vertices are components of one; search only the rest,
+    # whose blocks overwrite the separator's, joined above
+    low, rest = state.low, state.sep
+    lane = (1 << (1 << low)) - 1
+    for k, s in enumerate(rest):
+        rest[k] = s ^ lane
+    lone = _drop_isolated(rest, low)
+    comps = _component_index_lists(_join(rest, low), n)
+    max_comp = max(map(len, comps), default=min(lone, 1))
     cap = binom_leq(n, r0)
     if max_comp > cap:
         raise VerificationError(

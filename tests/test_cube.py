@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from util import random_family, to_ref
+from util import random_family, ref_to_bits, to_ref
 
 from vcube import (
     DomainError,
     Family,
     ParseError,
+    PeelConfig,
     ball,
     binom_leq,
     certificate_from_text,
@@ -26,10 +27,16 @@ from vcube import (
     mask_from_elements,
     matching_from_text,
     parse_mask,
+    peel,
     sphere,
     subcube_bits,
 )
-from vcube.cube import flood_component_sizes
+from vcube.cube import _blocks, _join
+from vcube.graph import (
+    _component_index_lists,
+    _drop_isolated,
+    flood_component_sizes,
+)
 
 
 class TestLayer:
@@ -163,6 +170,82 @@ class TestComponents:
                         assert sizes == unbounded
                     else:
                         assert max(sizes) == sizes[-1] == limit + 1
+
+
+
+def _search(bits, n, h):
+    """The audit's component search on the split h + L = n: the isolated
+    members from the blocks, then a BFS of the rest."""
+    low = n - h
+    blocks = _blocks(bits, h, low)
+    dropped = _drop_isolated(blocks, low)
+    rest = _join(blocks, low)
+    assert dropped == (bits ^ rest).bit_count()
+    return bits ^ rest, list(_component_index_lists(rest, n))
+
+
+class TestComponentSearch:
+    # second routes for the isolated-vertex pass and the byte-table BFS:
+    # a scan of each member's neighbours, the frozenset reference, the
+    # word-parallel flood, and components(), whose order is increasing
+    # least vertex
+
+    def _check(self, fam, reference=True):
+        n = fam.n
+        members = set(fam)
+        want = {v for v in members
+                if not any(v ^ 1 << i in members for i in range(n))}
+        public = components(fam)
+        seeds = [c.min_member() for c in public]
+        assert seeds == sorted(seeds)
+        assert sum(map(len, public)) == len(fam)
+        for h in range(n + 1):
+            lone, comps = _search(fam.bits, n, h)
+            assert set(Family(n, lone)) == want, (n, h)
+            assert all(len(c) >= 2 and c[0] == min(c) for c in comps)
+            assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+            found = sorted([[v] for v in want] + [sorted(c) for c in comps])
+            assert found == sorted(sorted(c) for c in public), (n, h)
+        if reference:
+            ref_comps = [Family(n, ref_to_bits(c))
+                         for c in ref.components(to_ref(fam))]
+            assert public == sorted(ref_comps, key=Family.min_member)
+
+    def test_random_families_against_reference(self):
+        rng = random.Random(16)
+        for n in range(1, 11):
+            size = 1 << n
+            self._check(Family.empty(n))
+            self._check(Family.full(n), reference=n <= 8)
+            for _ in range(2):
+                for density in (0.1, 0.3, 0.7):
+                    fam = Family.from_masks(
+                        n, [v for v in range(size) if rng.random() < density]
+                    )
+                    self._check(fam, reference=n <= 8 or density < 0.5)
+                k = rng.randrange(1, min(6, size) + 1)
+                self._check(Family.from_masks(n, rng.sample(range(size), k)))
+
+    def test_one_layer_is_all_isolated(self):
+        for n in range(1, 11):
+            for k in range(n + 1):
+                fam = layer(n, k)
+                self._check(fam, reference=False)
+                assert components(fam) == [
+                    Family.from_masks(n, [v]) for v in fam
+                ]
+                assert _search(fam.bits, n, n // 2) == (fam.bits, [])
+
+    def test_peel_separators(self):
+        for n in range(3, 15):
+            full = (1 << (1 << n)) - 1
+            for seed in range(5):
+                bits = peel(n, PeelConfig(seed=seed)).separator.bits ^ full
+                lone, comps = _search(bits, n, n // 2)
+                sizes = [1] * lone.bit_count() + [len(c) for c in comps]
+                assert sorted(sizes) == sorted(flood_component_sizes(bits, n))
+                public = components(Family(n, bits))
+                assert sorted(sizes) == sorted(map(len, public)), (n, seed)
 
 
 class TestBinomials:

@@ -38,16 +38,16 @@ from vcube import (
 from vcube.cube import (
     _ball_bits,
     _blocks,
-    _component_index_lists,
     _join,
     _transpose,
-    flood_component_sizes,
 )
+from vcube.graph import _component_index_lists, flood_component_sizes
 from vcube.integrity import (
     _block_split,
     _BlockState,
     _near_rings,
     _radius_gap,
+    _top_key_width,
 )
 
 
@@ -335,18 +335,30 @@ class TestChooseCenter:
         # the peel and the audit keep alive and separator as blocks, so
         # neither translates at dimension n; each keeps one mask memo for
         # its whole run, so every (mask, xl) pair is translated once.  At
-        # n = 16 the census reads far rings from the columns: each census
-        # and each remove after the first census translates the stacked
-        # top-part balls once, and the audit, which takes no census, never
+        # n = 16 the census reads far rings from the columns, with masks
+        # memoised per top part: each key is translated once, and no
+        # census translates past that.  Each remove after the first
+        # census translates the stacked top-part balls once, and the
+        # audit, which takes no census, translates nothing at dimension
+        # h, nor builds the n-dimensional shift masks
+        import vcube.cube as cube
+        import vcube.graph as graph
         import vcube.integrity as integ
 
-        calls = []
+        calls, tables = [], []
+        build = cube._low_masks
 
         def recording(bits, x, n):
             calls.append((bits, x, n))
             return translate_bits(bits, x, n)
 
+        def low_masks(n):
+            tables.append(n)
+            return build(n)
+
         monkeypatch.setattr(integ, "translate_bits", recording)
+        monkeypatch.setattr(cube, "_low_masks", low_masks)
+        monkeypatch.setattr(graph, "_low_masks", low_masks)
         for n in (12, 16):
             h, low = _block_split(n)
             r0 = solve_radius(n).r0
@@ -356,16 +368,70 @@ class TestChooseCenter:
             cert = peel(n)
             peeled = calls[:]
             calls.clear()
+            tables.clear()
             assert verify_certificate(cert) == cert.value
+            assert tables and max(tables) < n
             for run in (peeled, calls):
                 masks = [c for c in run if c[2] == low]
                 assert masks and len(masks) == len(set(masks)), n
-            stacked = [c[2] for c in peeled if c[2] != low]
-            censuses = len(cert.steps) * (cert.config.samples + 1)
-            assert len(stacked) == (censuses + len(cert.steps)) * columns
-            assert set(stacked) <= {h + r0.bit_length()}
-            assert h + r0.bit_length() < n
             assert all(c[2] == low for c in calls), n
+            tops = _join([_ball_bits(h, min(r, h)) for r in range(r0 + 1)], h)
+            removes = [c[1] for c in peeled if c[0] == tops]
+            assert removes == [s.center >> low for s in cert.steps] * columns
+            keys = [c[1] for c in peeled if c[2] != low and c[0] != tops]
+            assert len(keys) == len(set(keys)) <= (1 << h) * columns
+            assert bool(keys) == columns
+            assert all(c[2] < n for c in peeled)
+
+    def test_top_key_width_bounds_the_far_memo(self):
+        # the whole top part keys the far-ring memo while h <= L, that is
+        # n <= 20, so no census translates there; past that, 2^k keys of
+        # 2^h-bit masks stay within the 4^L bits of the low-part memo
+        for n in range(3, 29):
+            h, low = _block_split(n)
+            k = _top_key_width(h, low)
+            assert 0 <= k <= h and k + h <= 2 * low, n
+            assert (k == h) == (n <= 20), n
+
+    def test_every_key_width_counts_alike(self, monkeypatch):
+        # a census that translates its memoised far-ring masks by the top
+        # bits past the key counts as a hand scan, also after removes, and
+        # a peel is byte-identical whatever the key width
+        import vcube.integrity as integ
+
+        rng = random.Random(51)
+        for n in range(6, 13):
+            h, low = _block_split(n)
+            r0 = solve_radius(n).r0
+            near = min(r0, h) - 1
+            monkeypatch.setattr(integ, "_near_rings", lambda *args: near)
+            members = [y for y in range(1 << n) if rng.random() < 0.7]
+            for k in range(h + 1):
+                monkeypatch.setattr(integ, "_top_key_width",
+                                    lambda *args: k)
+                alive = set(members)
+                state = _BlockState(Family.from_masks(n, members).bits, n, r0)
+                for i in range(8):
+                    x = rng.getrandbits(n)
+                    if i % 2:
+                        state.remove(x)
+                        alive = {m for m in alive if (m ^ x).bit_count() > r0}
+                        continue
+                    dists = [(m ^ x).bit_count() for m in alive]
+                    assert state.census(x) == (
+                        sum(d <= r0 for d in dists),
+                        sum(d == r0 for d in dists),
+                    ), (n, k, i)
+        for n in (10, 12):
+            h, low = _block_split(n)
+            r0 = solve_radius(n).r0
+            monkeypatch.setattr(integ, "_near_rings", lambda *args: 1)
+            texts = set()
+            for k in range(h + 1):
+                monkeypatch.setattr(integ, "_top_key_width",
+                                    lambda *args: k)
+                texts.add(certificate_to_text(peel(n, PeelConfig(seed=n))))
+            assert len(texts) == 1, n
 
     def test_radius_outside_the_cube_rejected(self):
         with pytest.raises(DomainError, match="radius"):
