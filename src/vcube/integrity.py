@@ -18,11 +18,12 @@ and one column per low part of a vertex, kept in both orientations.  A
 candidate's census reads the rows near its top part, masked by balls
 around its low part, and the far rings from the columns near its low
 part, masked by balls around its top part; one rule (`_near_rings`)
-sets where rows give way to columns, from n and r0 alone.  Each
-orientation holds 2^n bits.  The masks are memoised per low part, 2^10
-at most, and per top part, keyed on at most its low 2L - h bits so that
-this memo stays below the low-part one's size; a census translates
-nothing while h <= L, that is n <= 20.
+sets where rows give way to columns, from n and r0 alone, and one
+reader (`_read`) reads the rings of either.  Each orientation holds 2^n
+bits.  One memo rule (`_masks`) gives every mask: per low part, 2^10 at
+most, and per top part, keyed on at most its low 2L - h bits so that
+those memos stay below the low-part one's size; neither a census nor a
+remove translates anything while h <= L, that is n <= 20.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .cube import (
     Family,
@@ -111,22 +112,26 @@ def solve_radius(n: int) -> RadiusParams:
 
 
 def census(family: Family, x: int, r0: int) -> Tuple[int, int]:
-    """(|ball ∩ F|, |sphere ∩ F|) at radius r0 around x, read from the
-    row blocks alone: columns would cost a transpose of the family."""
+    """(|ball ∩ F|, |sphere ∩ F|) at radius r0 around x, every ring read
+    from the row blocks: columns would cost a transpose of the family."""
     n = family.n
     if not 0 <= r0 <= n:
         raise DomainError(f"radius r0={r0} outside [0, {n}]")
     _check_mask(x, n)
-    return _BlockState(family.bits, n, r0, columns=False).census(x)
+    state = _BlockState(family.bits, n, r0)
+    low = state.low
+    rows = state._rows(x & ((1 << low) - 1))
+    b, inner = _read(state.blocks, x >> low, state.rings, rows)
+    return b, b - inner
 
 
 def _block_split(n: int) -> Tuple[int, int]:
     """(h, L) with h + L = n: the peel keeps 2^h blocks of 2^L bits.
 
     L <= 10 bounds the peel's mask memo; h >= 1 keeps every mask
-    translate below dimension n.
+    translate below dimension n, for n >= 1 (Q_0 is one block of 1 bit).
     """
-    h = max(n // 3, n - 10, 1)
+    h = min(max(n // 3, n - 10, 1), n)
     return h, n - h
 
 
@@ -136,10 +141,10 @@ def _near_rings(h: int, low: int, r0: int) -> int:
 
     Rows cost one read per h-bit e with |e| <= near, columns one per L-bit
     e with |e| <= r0 - near - 1, and the column upkeep (the transpose, and
-    each remove's clearing of the columns) is counted as h besides.  The
-    least total wins; ties go to rows only, near = min(r0, h), which is
-    every n <= 15 at the solved radius, and every h <= 2, so n = 1 (L = 0)
-    never reads columns.
+    each remove's clearing of the columns with memoised balls, no
+    translate) is counted as h besides.  The least total wins; ties go to
+    rows only, near = min(r0, h), which is every n <= 15 at the solved
+    radius, and every h <= 2, so n = 1 (L = 0) never reads columns.
     """
     top = min(r0, h)
 
@@ -153,11 +158,43 @@ def _near_rings(h: int, low: int, r0: int) -> int:
 
 
 def _top_key_width(h: int, low: int) -> int:
-    """Bits of the top part that key the far-ring memo: all h while
+    """Bits of the top part that key the top-part memos: all h while
     h <= L (n <= 20), then three fewer for each top bit past L, down to
     0.  So 2^k keys of 2^h-bit masks never pass the 4^L bits they take at
     n = 20, and shrink past it while the rows and columns grow."""
     return max(0, min(h, 3 * low - 2 * h))
+
+
+def _masks(memo: Dict[int, Tuple[int, ...]], base: Sequence[int], part: int,
+           key: int, dim: int) -> Tuple[int, ...]:
+    """The masks of `base` translated by `part` in Q_dim, then a 0 that is
+    never translated: the one rule of every mask memo, which memoises the
+    translates on part & key and translates them by the rest of part."""
+    k = part & key
+    masks = memo.get(k)
+    if masks is None:
+        masks = memo[k] = (*(translate_bits(m, k, dim) for m in base), 0)
+    if part != k:
+        masks = (*(translate_bits(m, part ^ k, dim) for m in masks[:-1]), 0)
+    return masks
+
+
+def _read(matrix: List[int], at: int, rings: List[List[int]],
+          masks: Sequence[int]) -> Tuple[int, int]:
+    """(ball, inner) popcounts of rows or columns matrix[at ^ e], e in ring
+    d, under masks[d] and masks[d + 1].  A ring whose inner mask is 0 lies
+    on the sphere, so its inner reads are skipped: 45 of 56 at n = 18."""
+    b = inner = 0
+    for ring, outer, inside in zip(rings, masks, masks[1:]):
+        if inside:
+            for e in ring:
+                block = matrix[at ^ e]
+                b += (block & outer).bit_count()
+                inner += (block & inside).bit_count()
+        else:
+            for e in ring:
+                b += (matrix[at ^ e] & outer).bit_count()
+    return b, inner
 
 
 class _BlockState:
@@ -179,19 +216,20 @@ class _BlockState:
     in T_xh(B_h(r0 - j) minus B_h(near)).  The first census builds the
     columns, 2^n bits in all like the rows, by `_transpose`: one join of
     the rows and word-parallel coordinate swaps.  From then on `remove`
-    clears its ball from the columns too, with the balls B_h(r) stacked
-    in lanes of 2^h bits of one int, `tops`, and translated by xh in
-    dimension h + bit_length(r0) < n.  The audit never takes a census,
-    and `census` builds no columns, so both keep the rows alone.
+    clears its ball from the columns too, T_xh(B_h(r0 - j)) from column
+    xl ^ e.  The audit never takes a census, and the public `census`
+    reads every ring from the rows, so both keep the rows alone.
 
-    `base` holds B_L(r) for r = 0..r0, and `masks` maps xl to their
-    translates (T_xl(B_L(r)) for r = 0..r0), filled on first use, so each
-    xl is translated once per state: at most 2^10 * (r0 + 1) ints of 2^10
-    bits, about 1 MiB at n = 18.  `far_masks` does the same for the
-    far-ring masks, keyed on the low `_top_key_width` bits of xh; a
-    census translates them by the rest of xh, which is 0 while h <= L,
-    that is n <= 20.  `rings[d]` lists the h-bit e with |e| = d,
-    `row_rings` those the census reads as rows (d <= near), and
+    Every mask tuple comes from `_masks`, outermost first and ending in
+    0, and `_read` reads each ring under its entries d and d + 1.  `base`
+    holds B_L(r0 - d) for d = 0..r0 and `masks` its translates per xl, so
+    each xl is translated once per state: at most 2^10 * (r0 + 1) ints of
+    2^10 bits, about 1 MiB at n = 18.  `top_base` holds the balls
+    B_h(r0 - j) and `far_base` the far-ring masks; `top_masks` and
+    `far_masks` memoise their translates on the bits of xh in `key`, the
+    low `_top_key_width`, so neither a census nor a remove translates
+    while h <= L, that is n <= 20.  `rings[d]` lists the h-bit e with
+    |e| = d, `row_rings` those the census reads as rows (d <= near), and
     `low_rings[j]` the L-bit e with |e| = j; `far` says whether the
     census reads columns at all.  `counts` holds each block's popcount
     and `size` their sum; `sep` holds the separator's blocks.
@@ -199,9 +237,10 @@ class _BlockState:
 
     __slots__ = ("n", "r0", "low", "blocks", "counts", "size", "sep",
                  "rings", "base", "masks", "row_rings", "far", "cols",
-                 "low_rings", "tops", "far_base", "far_masks", "key")
+                 "low_rings", "top_base", "top_masks", "far_base",
+                 "far_masks", "key")
 
-    def __init__(self, bits: int, n: int, r0: int, columns: bool = True):
+    def __init__(self, bits: int, n: int, r0: int):
         h, low = _block_split(n)
         self.n, self.r0, self.low = n, r0, low
         self.blocks = _blocks(bits, h, low)
@@ -209,101 +248,62 @@ class _BlockState:
         self.size = sum(self.counts)
         self.sep = [0] * (1 << h)
         self.rings = [list(_gosper(h, d)) for d in range(min(r0, h) + 1)]
-        self.base = tuple(_ball_bits(low, min(r, low)) for r in range(r0 + 1))
+        self.base = [_ball_bits(low, min(r, low)) for r in range(r0, -1, -1)]
         self.masks: Dict[int, Tuple[int, ...]] = {}
-        near = _near_rings(h, low, r0) if columns else min(r0, h)
-        self.row_rings = self.rings[:near + 1]
-        self.far = near < min(r0, h)
+        self.row_rings = self.rings[:_near_rings(h, low, r0) + 1]
+        self.far = len(self.row_rings) < len(self.rings)
         self.cols = None  # built by the first census
 
-    def _balls(self, xl: int) -> Tuple[int, ...]:
-        balls = self.masks.get(xl)
-        if balls is None:
-            balls = self.masks[xl] = tuple(
-                translate_bits(ball, xl, self.low) for ball in self.base
-            )
-        return balls
-
-    def _lanes(self, stacked: int, xh: int, count: int) -> List[int]:
-        """The `count` lanes of 2^h bits of `stacked`, each translated by
-        xh, from one translate of the stack."""
-        h = self.n - self.low
-        stacked = translate_bits(stacked, xh, h + (count - 1).bit_length())
-        lane = (1 << (1 << h)) - 1
-        return [stacked >> (r << h) & lane for r in range(count)]
+    def _rows(self, xl: int) -> Tuple[int, ...]:
+        """The row masks around low part xl: T_xl(B_L(r0 - d)) for
+        d = 0..r0, then 0, memoised on all L bits."""
+        low = self.low
+        return _masks(self.masks, self.base, xl, (1 << low) - 1, low)
 
     def _columns(self) -> None:
         """Build the columns and the top-part tables the first census
         needs."""
         h, low, r0 = self.n - self.low, self.low, self.r0
-        near = len(self.row_rings) - 1
+        far = r0 + 1 - len(self.row_rings)  # r0 - near
         self.cols = _transpose(self.blocks, low)
         self.low_rings = [list(_gosper(low, j))
                           for j in range(min(r0, low) + 1)]
-        self.tops = _join([_ball_bits(h, min(r, h)) for r in range(r0 + 1)], h)
-        inner = _ball_bits(h, near)
-        self.far_base = _join([_ball_bits(h, min(r, h)) & ~inner
-                               for r in range(r0, near, -1)], h)
-        self.far_masks: Dict[int, Tuple[int, ...]] = {}
+        self.top_base = [_ball_bits(h, min(r, h)) for r in range(r0, -1, -1)]
+        inner = self.top_base[far]
+        self.far_base = [ball & ~inner for ball in self.top_base[:far]]
+        self.top_masks, self.far_masks = {}, {}
         self.key = (1 << _top_key_width(h, low)) - 1
-
-    def _far(self, xh: int) -> Tuple[int, ...]:
-        """T_xh(B_h(r0 - j) minus B_h(near)) for j < r0 - near, then 0."""
-        key = xh & self.key
-        far = self.far_masks.get(key)
-        if far is None:
-            count = self.r0 + 1 - len(self.row_rings)
-            far = self.far_masks[key] = (
-                *self._lanes(self.far_base, key, count), 0)
-        rest = xh ^ key
-        if rest:
-            h = self.n - self.low
-            far = (*(translate_bits(m, rest, h) for m in far[:-1]), 0)
-        return far
 
     def census(self, x: int) -> Tuple[int, int]:
         """(ball, sphere) counts of the set at radius r0 around x.
 
         The sphere count is b minus the same sum at radius r0 - 1.
         """
-        low, r0, blocks = self.low, self.r0, self.blocks
+        low = self.low
         xh, xl = x >> low, x & ((1 << low) - 1)
-        balls = self._balls(xl)
-        b = inner = 0
-        for d, ring in enumerate(self.row_rings):
-            outer = balls[r0 - d]
-            inside = balls[r0 - d - 1] if d < r0 else 0
-            for e in ring:
-                block = blocks[xh ^ e]
-                b += (block & outer).bit_count()
-                inner += (block & inside).bit_count()
+        # the memo lookup of `_rows`, inlined: a census is the hot path
+        rows = self.masks.get(xl) or self._rows(xl)
+        b, inner = _read(self.blocks, xh, self.row_rings, rows)
         if self.far:
             if self.cols is None:
                 self._columns()
-            cols, far = self.cols, self._far(xh)
-            for ring, outer, inside in zip(self.low_rings, far, far[1:]):
-                if inside:
-                    for e in ring:
-                        col = cols[xl ^ e]
-                        b += (col & outer).bit_count()
-                        inner += (col & inside).bit_count()
-                else:
-                    for e in ring:
-                        b += (cols[xl ^ e] & outer).bit_count()
+            far = _masks(self.far_masks, self.far_base, xh, self.key,
+                         self.n - low)
+            far_b, far_inner = _read(self.cols, xl, self.low_rings, far)
+            b += far_b
+            inner += far_inner
         return b, b - inner
 
     def remove(self, x: int) -> Tuple[int, int]:
         """Take the radius-r0 ball around x out of the set and charge its
         sphere to the separator; returns the (ball, sphere) counts.  The
         peel and the audit both call this."""
-        low, r0 = self.low, self.r0
-        blocks, counts, sep = self.blocks, self.counts, self.sep
+        low = self.low
         xh, xl = x >> low, x & ((1 << low) - 1)
-        balls = self._balls(xl)
+        rows = self._rows(xl)
+        blocks, counts, sep = self.blocks, self.counts, self.sep
         b = s = 0
-        for d, ring in enumerate(self.rings):
-            outer = balls[r0 - d]
-            inside = balls[r0 - d - 1] if d < r0 else 0
+        for ring, outer, inside in zip(self.rings, rows, rows[1:]):
             for e in ring:
                 k = xh ^ e
                 hit = blocks[k] & outer
@@ -318,9 +318,9 @@ class _BlockState:
         self.size -= b
         cols = self.cols
         if cols is not None:
-            tops = self._lanes(self.tops, xh, r0 + 1)
-            for j, ring in enumerate(self.low_rings):
-                ball = tops[r0 - j]
+            balls = _masks(self.top_masks, self.top_base, xh, self.key,
+                           self.n - low)
+            for ring, ball in zip(self.low_rings, balls):
                 for e in ring:
                     k = xl ^ e
                     hit = cols[k] & ball
@@ -371,9 +371,7 @@ def _choose_center(
     return min(pool, key=key)
 
 
-def choose_center(
-    family: Family, r0: int, cfg: PeelConfig, rng: Optional[random.Random] = None
-) -> int:
+def choose_center(family: Family, r0: int, cfg: PeelConfig) -> int:
     """Public face of the center chooser: returns the winning mask.
 
     Where the split rule reads columns (at the solved radius, n >= 16),
@@ -384,10 +382,8 @@ def choose_center(
         raise DomainError("cannot choose a center for the empty family")
     if not 0 <= r0 <= family.n:
         raise DomainError(f"radius r0={r0} outside [0, {family.n}]")
-    if rng is None:
-        rng = random.Random(cfg.seed)
     state = _BlockState(family.bits, family.n, r0)
-    return _choose_center(state, cfg.samples, rng)
+    return _choose_center(state, cfg.samples, random.Random(cfg.seed))
 
 
 def peel(n: int, cfg: PeelConfig = PeelConfig()) -> IntegrityCertificate:

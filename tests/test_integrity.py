@@ -121,6 +121,31 @@ class TestCensus:
             assert b == sum(1 for d in dists if d <= r)
             assert s == sum(1 for d in dists if d == r)
 
+    def test_zero_dimensional_cube(self):
+        # Q_0 is one vertex, 0, in one block of one bit
+        assert census(Family(0, 1), 0, 0) == (1, 1)
+        assert census(Family(0, 0), 0, 0) == (0, 0)
+        assert choose_center(Family(0, 1), 0, PeelConfig()) == 0
+
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_public_census_reads_rows_only(self, n, monkeypatch):
+        # where the peel's census reads far rings from the columns, the
+        # public one still reads every ring from the rows, with no transpose
+        import vcube.integrity as integ
+
+        def no_transpose(*args):
+            raise AssertionError("the public census built columns")
+
+        monkeypatch.setattr(integ, "_transpose", no_transpose)
+        rng = random.Random(52 + n)
+        r0 = solve_radius(n).r0
+        fam = Family(n, rng.getrandbits(1 << n))
+        for _ in range(3):
+            x = rng.getrandbits(n)
+            assert census(fam, x, r0) == (
+                len(ball(n, x, r0) & fam), len(sphere(n, x, r0) & fam)
+            )
+
     @pytest.mark.parametrize("x", [16, -1], ids=["too_wide", "negative"])
     def test_center_must_fit(self, x):
         with pytest.raises(DomainError):
@@ -333,14 +358,13 @@ class TestChooseCenter:
 
     def test_peel_translates_each_low_mask_once(self, monkeypatch):
         # the peel and the audit keep alive and separator as blocks, so
-        # neither translates at dimension n; each keeps one mask memo for
-        # its whole run, so every (mask, xl) pair is translated once.  At
-        # n = 16 the census reads far rings from the columns, with masks
-        # memoised per top part: each key is translated once, and no
-        # census translates past that.  Each remove after the first
-        # census translates the stacked top-part balls once, and the
-        # audit, which takes no census, translates nothing at dimension
-        # h, nor builds the n-dimensional shift masks
+        # neither translates at dimension n; every mask memo translates
+        # each (base mask, key) pair once per state.  At n = 16 the census
+        # reads far rings from the columns and remove clears them, with
+        # top-part masks keyed on the whole top part, so no census and no
+        # remove translates past those memo fills, and no memo translates
+        # its trailing 0.  The audit, which takes no census, translates
+        # only L-bit masks and never builds the n-dimensional shift masks
         import vcube.cube as cube
         import vcube.graph as graph
         import vcube.integrity as integ
@@ -362,8 +386,16 @@ class TestChooseCenter:
         for n in (12, 16):
             h, low = _block_split(n)
             r0 = solve_radius(n).r0
-            columns = _near_rings(h, low, r0) < min(r0, h)
+            near = _near_rings(h, low, r0)
+            columns = near < min(r0, h)
             assert columns == (n == 16)
+            assert _top_key_width(h, low) == h
+            rows = {_ball_bits(low, min(r, low)) for r in range(r0 + 1)}
+            tops = {_ball_bits(h, min(r, h)) for r in range(r0 + 1)}
+            fars = {_ball_bits(h, min(r, h)) & ~_ball_bits(h, near)
+                    for r in range(near + 1, r0 + 1)}
+            assert len(rows) == len(tops) == r0 + 1
+            assert len(fars) == r0 - near and not fars & tops
             calls.clear()
             cert = peel(n)
             peeled = calls[:]
@@ -371,17 +403,22 @@ class TestChooseCenter:
             tables.clear()
             assert verify_certificate(cert) == cert.value
             assert tables and max(tables) < n
+            assert calls and all(c[2] == low and c[0] in rows for c in calls)
             for run in (peeled, calls):
-                masks = [c for c in run if c[2] == low]
-                assert masks and len(masks) == len(set(masks)), n
-            assert all(c[2] == low for c in calls), n
-            tops = _join([_ball_bits(h, min(r, h)) for r in range(r0 + 1)], h)
-            removes = [c[1] for c in peeled if c[0] == tops]
-            assert removes == [s.center >> low for s in cert.steps] * columns
-            keys = [c[1] for c in peeled if c[2] != low and c[0] != tops]
-            assert len(keys) == len(set(keys)) <= (1 << h) * columns
-            assert bool(keys) == columns
-            assert all(c[2] < n for c in peeled)
+                assert len(run) == len(set(run)), n
+            assert all(c[0] in rows for c in peeled if c[2] == low)
+            fills = {}
+            for bits, x, dim in peeled:
+                if dim != low:
+                    assert dim == h and bits in tops | fars, n
+                    fills.setdefault(bits in tops, set()).add(x)
+            # each key fills its whole base once, the trailing 0 aside
+            top_keys, far_keys = fills.get(True, ()), fills.get(False, ())
+            assert sum(c[2] == h for c in peeled) == (
+                len(top_keys) * (r0 + 1) + len(far_keys) * (r0 - near))
+            assert set(top_keys) == (
+                {s.center >> low for s in cert.steps} if columns else set())
+            assert bool(far_keys) == columns
 
     def test_top_key_width_bounds_the_far_memo(self):
         # the whole top part keys the far-ring memo while h <= L, that is
