@@ -42,13 +42,6 @@ def _emit(out, **pairs):
         out.write(f"{key}={val}\n")
 
 
-def _progress(label):
-    def cb(done):
-        print(f"{label}: {done} candidates examined", file=sys.stderr)
-
-    return cb
-
-
 def _parse_range(text, default_step):
     """Parse 'A..B' or 'A..B:STEP' where STEP is an int or 'x2'."""
     body, colon, step = text.partition(":")
@@ -118,7 +111,11 @@ def cmd_vc(args, out):
 def cmd_count(args, out):
     n, x = args.n, args.k_or_m
     t0 = time.perf_counter()
-    progress = _progress(f"count {args.kind}")
+
+    def progress(done):
+        print(f"count {args.kind}: {done} candidates examined",
+              file=sys.stderr)
+
     budget = args.budget
     if budget is not None and (budget < 1 or args.kind in ("exvc", "indmat")):
         raise DomainError("--budget needs m or conn and a value >= 1")
@@ -127,10 +124,10 @@ def cmd_count(args, out):
         value = counting.exact_m(n, x, budget=budget, progress=progress)
         examined = counting.m_candidate_count(n, x)
     elif args.kind == "exvc":
-        value = counting.exact_exvc(n, x, progress=progress)
+        value = counting.exact_exvc(n, x)
         examined = counting.exvc_candidate_count(n)
     elif args.kind == "indmat":
-        value = counting.exact_indmat(n, x, progress=progress)
+        value = counting.exact_indmat(n, x)
         examined = value
     else:
         budget = budget or counting.DEFAULT_CONN_BUDGET
@@ -398,8 +395,9 @@ def main(argv=None) -> int:
     except (DomainError, NotInImageError, OSError, UnicodeDecodeError) as exc:
         print(f"vcube: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except BudgetError as exc:
-        print(f"vcube: resource budget: {exc}", file=sys.stderr)
+    except (BudgetError, MemoryError) as exc:
+        print(f"vcube: resource budget: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return EXIT_BUDGET
     except (VerificationError,) as exc:
         print(f"vcube: verification failed: {exc}", file=sys.stderr)

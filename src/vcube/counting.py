@@ -1,8 +1,8 @@
 """Exact counting oracles and log-domain bound evaluation.
 
-All counts exclude the empty family.  Budgets are hard preconditions
-checked up front; an over-budget request fails loudly instead of
-truncating.
+All counts exclude the empty family.  Each exhaustive count checks an
+`errors.Budget` in its own unit before any work and as a hard stop on
+its running count; an over-budget request fails instead of truncating.
 """
 
 from __future__ import annotations
@@ -13,13 +13,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import vc
 from .cube import Family, _check_dim, binom_leq, log_binom
-from .errors import BudgetError, DomainError
+from .errors import Budget, BudgetError, DomainError
 from .matchings import enumerate_induced_matchings
 
 DEFAULT_FAMILY_BUDGET = 10**8
 DEFAULT_CONN_BUDGET = 10**7
-
-PROGRESS_STRIDE = 10**6
 
 Progress = Optional[Callable[[int], None]]
 
@@ -59,15 +57,10 @@ def exact_m(
         log_total = log_binom(2.0**n, binom_leq(n, k))
     except OverflowError:  # 2^n is past float range
         log_total = math.inf
-    if (
-        budget < 1
-        or log_total > math.log(budget) + 1.0
-        or m_candidate_count(n, k) > budget
-    ):
-        raise BudgetError(
-            f"exact_m(n={n}, k={k}) needs about e^{log_total:.1f} "
-            f"candidates, over the budget of {budget}"
-        )
+    guard = Budget(budget, "candidates", f"exact_m(n={n}, k={k})", progress)
+    near = budget >= 1 and log_total <= math.log(budget) + 1.0
+    need = m_candidate_count(n, k) if near else math.inf
+    guard.refuse_if(need, f"about e^{log_total:.1f}")
     if k == 0:
         return 1 << n
     if k == n:
@@ -77,23 +70,21 @@ def exact_m(
     lifts = classes.lifts(
         sub, classes.maximum(sub, k), classes.maximum(sub, k - 1)
     )
-    return _count_lifts(lifts, progress)
+    return _count_lifts(lifts, guard)
 
 
 def _count_lifts(
-    lifts: Iterator[Tuple[int, int, List[int]]], progress: Progress
+    lifts: Iterator[Tuple[int, int, List[int]]], guard: Budget
 ) -> int:
-    """Count the kept lifts; `progress` sees the lifts examined."""
+    """Count the kept lifts; `guard` is ticked with the lifts examined."""
     count = 0
     examined = 0
+    mark = guard.tick(0)
     for _, d, kept in lifts:
         count += len(kept)
-        before = examined
         examined += 1 << d.bit_count()
-        if progress is not None and (
-            examined // PROGRESS_STRIDE > before // PROGRESS_STRIDE
-        ):
-            progress(examined)
+        if examined >= mark:
+            mark = guard.tick(examined)
     return count
 
 
@@ -185,9 +176,7 @@ def exvc_candidate_count(n: int) -> int:
     return (1 << (1 << n)) - 1
 
 
-def exact_exvc(
-    n: int, k: int, progress: Progress = None
-) -> int:
+def exact_exvc(n: int, k: int) -> int:
     """Count nonempty extremal families with VC dimension at most k.
 
     Counted by restriction and reduction like exact_m.  A family C on
@@ -202,9 +191,9 @@ def exact_exvc(
     skipped before its lifts are examined.
 
     Every lift is a distinct nonempty family, so the lifts examined
-    never exceed exvc_candidate_count(n).  Lifting all 1.07e6 pairs of
-    Q_4 examines about 1.8e8 families, so n <= 4 is a hard guard.
-    `progress` counts the lifts.
+    never exceed exvc_candidate_count(n), which is their budget.
+    Lifting all 1.07e6 pairs of Q_4 examines about 1.8e8 families, so
+    n <= 4 is a hard guard, checked before the 2^(2^n)-bit count.
     """
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got n={n} k={k}")
@@ -219,19 +208,15 @@ def exact_exvc(
     lower = classes.extremal(n - 1)
     restrictions = [r for r, dim in lower if dim <= k]
     reductions = [0] + [t for t, dim in lower if dim < k]
+    guard = Budget(exvc_candidate_count(n), "families", f"exact_exvc(n={n})")
     return _count_lifts(
-        classes.lifts(n - 1, restrictions, reductions), progress
+        classes.lifts(n - 1, restrictions, reductions), guard
     )
 
 
-def exact_indmat(n: int, k: int, progress: Progress = None) -> int:
+def exact_indmat(n: int, k: int) -> int:
     """Count induced matchings between layers k and k+1 by enumeration."""
-    count = 0
-    for _ in enumerate_induced_matchings(n, k):
-        count += 1
-        if progress is not None and count % PROGRESS_STRIDE == 0:
-            progress(count)
-    return count
+    return sum(1 for _ in enumerate_induced_matchings(n, k))
 
 
 def conn_profile(
@@ -248,30 +233,24 @@ def conn_profile(
     """
     _check_dim(n, allow_zero=True)
     size = 1 << n
-    # refuse before any work; the bound's first term is 2^(2^(n-1))
-    if size >> 1 > budget.bit_length() or conn_lower_bound(n) > budget:
-        raise BudgetError(
-            f"conn_profile(n={n}) visits more connected sets than the "
-            f"budget of {budget}"
-        )
+    guard = Budget(budget, "connected sets", f"conn_profile(n={n})", progress)
+    # refuse before any work; 2 << bits is under the bound's 2^(2^(n-1))
+    bits = budget.bit_length()
+    guard.refuse_if(conn_lower_bound(n) if size >> 1 <= bits else 2 << bits)
     counts = [0] * (size + 1)
     counts[0] = 1
     nbr = [sum(1 << (v ^ (1 << i)) for i in range(n)) for v in range(size)]
     visited = 0
+    mark = guard.tick(0)
     for root in range(size):
         below = (2 << root) - 1
         stack = [(1, nbr[root] & ~below, nbr[root] | below)]
         while stack:
             csize, ext, closed = stack.pop()
             visited += 1
-            if visited > budget:
-                raise BudgetError(
-                    f"conn_profile(n={n}) exceeded its budget of {budget} "
-                    f"connected sets"
-                )
+            if visited == mark:
+                mark = guard.tick(visited)
             counts[csize] += 1
-            if progress is not None and visited % PROGRESS_STRIDE == 0:
-                progress(visited)
             while ext:
                 w = ext & -ext
                 ext ^= w
@@ -350,13 +329,19 @@ def maximal_count_bounds(n: int, k: int, epsilon) -> BoundReport:
     except OverflowError:
         coeff = math.inf
     log_lower = coeff * math.log(eps * n)
+    # Exact counts only where they might fit a float: C(n,k) >= (n/j)^j,
+    # which lgamma's cancellation at large n cannot overstate, and
+    # C(n,<=k) >= 2^(n-1) past the middle.
+    j = min(k, n - k)
+    big_mid = j > 0 and j * (math.log(n) - math.log(j)) > 710
+    big_tail = big_mid or 2 * k >= n > 1025
     try:
-        tail = float(binom_leq(n, k))
+        tail = math.inf if big_tail else float(binom_leq(n, k))
     except OverflowError:
         tail = math.inf
     log_upper = (n + 1) * math.log(2) + tail * (1 + math.log(n))
     try:
-        mid = float(math.comb(n, k))
+        mid = math.inf if big_mid else float(math.comb(n, k))
     except OverflowError:
         mid = math.inf
     log_target = mid * math.log(n)

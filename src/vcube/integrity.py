@@ -67,6 +67,7 @@ from .certificate import (
     certificate_to_text,
 )
 from .errors import (
+    Budget,
     BudgetError,
     DomainError,
     SolverError,
@@ -463,12 +464,10 @@ def verify_certificate(cert: IntegrityCertificate) -> int:
     if cert.separator.n != n:
         raise VerificationError("separator dimension mismatch")
     seed, samples = cert.config.seed, cert.config.samples
-    draws = len(cert.steps) * (samples + 1)
-    if draws > REPLAY_DRAW_BUDGET:
-        raise BudgetError(
-            f"replaying {len(cert.steps)} steps at T={samples} takes {draws} "
-            f"sampler draws, over the budget of {REPLAY_DRAW_BUDGET:.0e}"
-        )
+    Budget(
+        REPLAY_DRAW_BUDGET, "sampler draws",
+        f"replaying {len(cert.steps)} steps at T={samples}",
+    ).refuse_if(len(cert.steps) * (samples + 1))
     state = _BlockState((1 << (1 << n)) - 1, n, r0)
     rng = random.Random(seed)
     for i, step in enumerate(cert.steps):
@@ -620,6 +619,7 @@ def density_audit(dims: Sequence[int]) -> List[DensityRow]:
     over DENSITY_TERM_BUDGET terms in all: `log_binom_leq` stops under
     e^-45 of its top term, each step down scaling by at most r0/(n-r0+1).
     """
+    guard = Budget(DENSITY_TERM_BUDGET, "terms", "density_audit")
     solved = []
     terms = 0
     for n in dims:
@@ -628,11 +628,7 @@ def density_audit(dims: Sequence[int]) -> List[DensityRow]:
         solved.append(solve_radius(n))
         r0 = solved[-1].r0
         terms += 1 + 45 / math.log((n - r0 + 1) / r0)
-        if terms > DENSITY_TERM_BUDGET:
-            raise BudgetError(
-                f"the ball sums up to n={n} take {terms:.3g} terms, over "
-                f"the budget of {DENSITY_TERM_BUDGET:.0e}"
-            )
+        guard.tick(terms)
     rows = []
     ln2 = math.log(2)
     for p in solved:

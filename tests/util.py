@@ -1,6 +1,10 @@
-"""Conversions between the package representation and the reference one."""
+"""Conversions between the package representation and the reference one,
+and a runner for the CLI in a child process under a memory limit."""
 
 import random
+import resource
+import subprocess
+import sys
 
 from vcube import Family, mask_elements
 
@@ -36,3 +40,30 @@ def random_downset(rng: random.Random, n: int, generators: int = 3) -> Family:
     for _ in range(generators):
         bits |= subcube_bits(rng.getrandbits(n), n)
     return Family(n, bits)
+
+
+# Address space of the child in `run_limited`: far below what any
+# refused or out-of-memory request would take, yet ample for the import.
+CHILD_MEMORY = 256 << 20
+
+
+def run_limited(*argv):
+    """Run `python -m vcube ARGV` with RLIMIT_AS set in the child only.
+
+    Returns (exit code, stdout, stderr, CPU seconds of the child).
+    """
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "vcube", *argv],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit,
+        timeout=30,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = sum(after[:2]) - sum(before[:2])  # user plus system time
+    return proc.returncode, proc.stdout, proc.stderr, cpu
