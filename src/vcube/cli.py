@@ -16,7 +16,9 @@ import csv
 import math
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from . import __version__, counting, cube, integrity, matchings, vc
@@ -60,27 +62,31 @@ def _parse_range(text, default_step):
     if multiply:
         if stride < 2 or a < 1:
             raise DomainError(f"x step needs factor >= 2, start >= 1: {text!r}")
-        out = []
-        v = a
-        while v <= b:
-            out.append(v)
-            v *= stride
+        out = [a]
+        while out[-1] * stride <= b:
+            out.append(out[-1] * stride)
         return out
     if stride < 1:
         raise DomainError(f"step must be >= 1 in {text!r}")
-    try:
-        return list(range(a, b + 1, stride))
-    except (OverflowError, MemoryError):
-        raise DomainError(f"range {text!r} is too long to list") from None
+    return range(a, b + 1, stride)
 
 
-def _write_csv(path, header, rows):
-    new = not Path(path).exists()
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
+def _write_csv(path, header, rows, out=None):
+    """Write each row as it is made, to `out` under `header` and appended
+    to the CSV file at `path` (header only if new), each if given.  The
+    first row is made first, so a run refused there prints nothing."""
+    rows = iter(rows)
+    first = next(rows)
+    new = bool(path) and not Path(path).exists()
+    with (open(path, "a", newline="") if path else nullcontext()) as fh:
+        writers = [csv.writer(f) for f in (out, fh) if f is not None]
+        if out is not None:
+            writers[0].writerow(header)
         if new:
-            writer.writerow(header)
-        writer.writerows(rows)
+            writers[-1].writerow(header)
+        for row in chain([first], rows):
+            for writer in writers:
+                writer.writerow(row)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +152,8 @@ def cmd_count(args, out):
     if budget is not None:
         pairs["budget"] = budget
     _emit(out, **pairs, count=value, candidates_examined=examined)
-    if args.csv:
-        _write_csv(
-            args.csv,
-            ["n", "k_or_m", "count", "candidates_examined", "elapsed_ms"],
-            [[n, x, value, examined, f"{elapsed_ms:.3f}"]],
-        )
+    header = ["n", "k_or_m", "count", "candidates_examined", "elapsed_ms"]
+    _write_csv(args.csv, header, [[n, x, value, examined, f"{elapsed_ms:.3f}"]])
     return EXIT_OK
 
 
@@ -238,10 +240,10 @@ def cmd_sweep(args, out):
     dims = _parse_range(args.range, default_steps[args.kind])
     if args.kind == "lemma":
         header = ["n", "alpha", "r0", "ball_ratio", "sphere_ratio"]
-        rows = [
+        rows = (
             [r.n, repr(r.alpha), r.r0, repr(r.ball_ratio), repr(r.sphere_ratio)]
             for r in integrity.density_audit(dims)
-        ]
+        )
     elif args.kind == "rho":
         cap = cube.max_dim()
         for n in dims:  # all of them, before the first peel
@@ -251,20 +253,19 @@ def cmd_sweep(args, out):
             "n", "seed", "samples", "r0", "steps", "separator",
             "max_component", "value", "naive", "rho",
         ]
-        rows = []
-        for n in dims:
-            cfg = integrity.PeelConfig(samples=args.samples, seed=args.seed)
+        cfg = integrity.PeelConfig(samples=args.samples, seed=args.seed)
+
+        def row(n):
             cert = integrity.peel(n, cfg)
-            integrity.verify_certificate(cert)
-            naive = integrity.middle_layer_baseline(n)
-            rho = cert.value * math.sqrt(n) / (2**n * math.sqrt(math.log(n)))
-            rows.append(
-                [
-                    n, cfg.seed, cfg.samples, cert.params.r0, len(cert.steps),
-                    cert.separator_size, cert.max_component, cert.value,
-                    naive, repr(rho),
-                ]
-            )
+            value = integrity.verify_certificate(cert)
+            rho = value * math.sqrt(n) / (2**n * math.sqrt(math.log(n)))
+            return [
+                n, cfg.seed, cfg.samples, cert.params.r0, len(cert.steps),
+                cert.separator_size, cert.max_component, value,
+                integrity.middle_layer_baseline(n), repr(rho),
+            ]
+
+        rows = map(row, dims)
     else:
         # Fraction builds 10**exp before any check.  A token of L characters
         # with exponent exp is 0 or lies between 10**(exp - L) and
@@ -279,21 +280,16 @@ def cmd_sweep(args, out):
             float(eps)  # the bounds are evaluated in floats
         except (ValueError, ZeroDivisionError, OverflowError):
             raise DomainError(f"bad --epsilon {args.epsilon!r}") from None
+        if dims[-1] > sys.float_info.max:  # the one check a later row can fail
+            raise DomainError("the bounds need n within float range")
         header = ["n", "k", "epsilon", "log_lower", "log_upper", "log_target"]
-        rows = []
-        for n in dims:
-            rep = counting.maximal_count_bounds(n, args.k, eps)
-            rows.append(
-                [
-                    n, args.k, str(eps), repr(rep.log_lower),
-                    repr(rep.log_upper), repr(rep.log_target),
-                ]
-            )
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerows(rows)
-    if args.csv:
-        _write_csv(args.csv, header, rows)
+        reports = (counting.maximal_count_bounds(n, args.k, eps) for n in dims)
+        rows = (
+            [r.n, r.k, str(eps), repr(r.log_lower), repr(r.log_upper),
+             repr(r.log_target)]
+            for r in reports
+        )
+    _write_csv(args.csv, header, rows, out)
     return EXIT_OK
 
 

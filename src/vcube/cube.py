@@ -405,12 +405,14 @@ def binom_leq(n: int, k: int) -> int:
 
 
 def log_binom(n: int, k: int) -> float:
-    """ln C(n,k) via log-gamma; good far beyond the dense-family cap."""
+    """ln C(n,k) via log-gamma.  Past n = 2^32 that difference loses the
+    digits of a small side, so a side of at most 1024 factors is summed."""
     if not 0 <= k <= n:
         raise DomainError(f"log_binom needs 0 <= k <= n, got n={n} k={k}")
-    return (
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    )
+    j = min(k, n - k)
+    if n > 2**32 and j <= 1024 and j == int(j):
+        return sum(math.log((n - i) / (j - i)) for i in range(int(j)))
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def log_binom_leq(n: int, k: int) -> float:

@@ -1,5 +1,9 @@
 """The one budget discipline: `errors.Budget` and the refusals it makes."""
 
+import os
+import select
+import time
+
 import pytest
 
 from vcube import (
@@ -13,7 +17,7 @@ from vcube.counting import _count_lifts
 from vcube.errors import Budget
 
 from test_counting import CONN_PROFILES
-from util import run_limited
+from util import run_limited, start_limited
 
 
 class TestBudget:
@@ -75,12 +79,30 @@ class TestBudget:
         assert seen == list(range(1000, 37001, 1000))
 
 
-def assert_refused(*argv):
-    code, out, err, cpu = run_limited(*argv)
-    assert (code, out) == (3, ""), err
-    assert "vcube: resource budget:" in err
+REFUSALS = {2: "vcube: input error:", 3: "vcube: resource budget:"}
+
+
+def assert_refused(*argv, code=3):
+    got, out, err, cpu = run_limited(*argv)
+    assert (got, out) == (code, ""), err
+    assert REFUSALS[code] in err
     assert "Traceback" not in err
     assert cpu < 1.0
+
+
+def first_lines(pipe, count, seconds):
+    """The first `count` lines read from `pipe` within `seconds`, or fewer."""
+    deadline = time.monotonic() + seconds
+    data = b""
+    while data.count(b"\n") < count:
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select([pipe], [], [], left)[0]:
+            break
+        chunk = os.read(pipe.fileno(), 1 << 16)
+        if not chunk:
+            break
+        data += chunk
+    return data.decode().splitlines()[:count]
 
 
 class TestUnderMemoryLimit:
@@ -95,12 +117,29 @@ class TestUnderMemoryLimit:
             ["--max-n", "34", "sweep", "rho", "34..34"],
             ["count", "conn", "5", "3"],
             ["count", "m", "6", "2"],
+            ["count", "m", "5", "2"],
             ["sweep", "lemma", f"8..{2**60}:x2"],
+            ["sweep", "lemma", "8..1000000000:1"],
         ],
-        ids=["peel_40", "rho_34", "conn_5", "m_6_2", "lemma_2e60"],
+        ids=["peel_40", "rho_34", "conn_5", "m_6_2", "m_5_2", "lemma_2e60",
+             "lemma_1e9_step_1"],
     )
     def test_refusal_exits_3_without_a_traceback(self, argv):
         assert_refused(*argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "rho", "8..1000000000:2"],
+            ["sweep", "bounds", f"8..{10**400}", "--k", "2", "--epsilon",
+             "1/2"],
+        ],
+        ids=["rho_1e9", "bounds_up_past_float_range"],
+    )
+    def test_long_range_exits_2_before_the_first_row(self, argv):
+        # rho stops at its first n past the cap, and bounds checks the
+        # last n, so neither range is walked, let alone listed
+        assert_refused(*argv, code=2)
 
     def test_forged_sample_count_exits_3(self, tmp_path):
         text = certificate_to_text(peel(8, PeelConfig()))
@@ -119,3 +158,13 @@ class TestUnderMemoryLimit:
         assert row[:3] == [str(n), str(n // 2), "1/2"]
         assert row[4:] == ["inf", "inf"]
         assert cpu < 1.0
+
+    def test_bounds_rows_stream(self):
+        # 10^12 rows with no budget: each row goes out as it is made
+        argv = ["sweep", "bounds", "8..1000000000000", "--k", "2",
+                "--epsilon", "1/2"]
+        with start_limited(*argv) as proc:
+            lines = first_lines(proc.stdout, 4, seconds=1.0)
+        assert len(lines) == 4, lines
+        assert lines[0] == "n,k,epsilon,log_lower,log_upper,log_target"
+        assert [line.split(",")[0] for line in lines[1:]] == ["8", "9", "10"]

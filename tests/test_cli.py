@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 import time
@@ -437,6 +438,28 @@ class TestSweepCommand:
         assert "n=30" in err
         assert calls == []
 
+    def test_csv_appends_the_rows_under_one_header(self, capsys, tmp_path):
+        path = tmp_path / "lemma.csv"
+        _, first, _ = run_cli(capsys, "sweep", "lemma", "256..1024",
+                              "--csv", str(path))
+        _, second, _ = run_cli(capsys, "sweep", "lemma", "2048..4096",
+                               "--csv", str(path))
+        lines = path.read_text().splitlines()
+        assert lines == first.splitlines() + second.splitlines()[1:]
+        assert len(lines) == 1 + 3 + 2
+
+    def test_bounds_at_n_1e17_keep_their_digits(self, capsys):
+        # log_lower = C(n/2, 18) ln(n/2); lgamma alone read C(5e16, 18)
+        # as e^768.0 and printed inf
+        n = 10**17
+        code, out, _ = run_cli(capsys, "sweep", "bounds", f"{n}..{n}",
+                               "--k", "18", "--epsilon", "1/2")
+        assert code == 0
+        row = out.splitlines()[1].split(",")
+        want = math.comb(n // 2, 18) * math.log(n // 2)
+        assert float(row[3]) == pytest.approx(want, rel=1e-9)
+        assert float(row[3]) <= float(row[4])
+
     def test_bounds_rows_ordered(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "bounds", "8..16", "--k", "2", "--epsilon", "1/8"
@@ -459,23 +482,36 @@ class TestSweepCommand:
             ["bounds", "8..16", "--epsilon", "1e999"],
             ["bounds", "8..9", "--epsilon", "1e999999999"],
             ["bounds", "8..9", "--epsilon", "1e-999999999"],
-            ["lemma", "8..1000000000000000000000:1"],
             ["lemma", "0..16"],
             ["lemma", "--", "-4..16:x2"],
             ["lemma", "--", "--"],
+            ["bounds", "2..10", "--k", "3"],
+            ["bounds", f"{10**400}..{10**400}", "--k", "2", "--epsilon", "1/2"],
         ],
         ids=[
             "no_dots", "step_xa", "step_abc", "epsilon_abc", "epsilon_nan",
             "epsilon_div0", "epsilon_1e999", "epsilon_1e999999999",
-            "epsilon_1e-999999999", "too_long", "x2_from_0",
-            "x2_from_negative", "range_is_dashes",
+            "epsilon_1e-999999999", "x2_from_0", "x2_from_negative",
+            "range_is_dashes", "k_over_first_n", "n_past_float_range",
         ],
     )
     def test_bad_range_exits_2(self, capsys, argv):
         t0 = time.perf_counter()
-        code, _, err = run_cli(capsys, "sweep", *argv)
+        code, out, err = run_cli(capsys, "sweep", *argv)
         assert code == 2
+        assert out == ""
         assert "input error" in err
+        assert time.perf_counter() - t0 < 2
+
+    def test_range_too_long_to_list_exits_3(self, capsys):
+        # the range stays lazy, so the term budget refuses it
+        t0 = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "sweep", "lemma", "8..1000000000000000000000:1"
+        )
+        assert code == 3
+        assert out == ""
+        assert "budget" in err
         assert time.perf_counter() - t0 < 2
 
     @settings(
@@ -568,9 +604,11 @@ class TestUsageErrors:
             ["vc", "{dir}"],
             ["verify", "{binary}"],
             ["count", "m", "3", "1", "--csv", "{dir}"],
+            ["sweep", "lemma", "256..1024", "--csv", "{dir}"],
             ["peel", "5", "--out", "{dir}"],
         ],
-        ids=["vc_directory", "verify_binary", "csv_directory", "out_directory"],
+        ids=["vc_directory", "verify_binary", "csv_directory",
+             "sweep_csv_directory", "out_directory"],
     )
     def test_unreadable_or_unwritable_path_exits_2(self, capsys, tmp_path, argv):
         binary = tmp_path / "cert.bin"

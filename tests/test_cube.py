@@ -273,6 +273,14 @@ class TestBinomials:
                 got = log_binom(n, k)
                 assert abs(got - exact) <= 1e-9 * max(1.0, abs(exact))
 
+    @pytest.mark.parametrize(
+        "n, k", [(10**17, 3), (10**17, 10**17 - 3), (5e16, 18), (2**32 + 1, 1024)]
+    )
+    def test_log_binom_past_2_32_keeps_a_small_side(self, n, k):
+        # lgamma(10^17 + 1) is a multiple of 512, so the difference read 0.0
+        exact = math.log(math.comb(int(n), k))
+        assert log_binom(n, k) == pytest.approx(exact, rel=1e-9)
+
     def test_log_binom_huge_dimension(self):
         # far beyond the dense-family cap
         val = log_binom(1 << 20, 1 << 19)

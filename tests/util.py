@@ -1,6 +1,7 @@
 """Conversions between the package representation and the reference one,
-and a runner for the CLI in a child process under a memory limit."""
+and runners for the CLI in a child process under a memory limit."""
 
+import contextlib
 import random
 import resource
 import subprocess
@@ -47,23 +48,40 @@ def random_downset(rng: random.Random, n: int, generators: int = 3) -> Family:
 CHILD_MEMORY = 256 << 20
 
 
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+
 def run_limited(*argv):
     """Run `python -m vcube ARGV` with RLIMIT_AS set in the child only.
 
     Returns (exit code, stdout, stderr, CPU seconds of the child).
     """
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
-
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "-m", "vcube", *argv],
         capture_output=True,
         text=True,
-        preexec_fn=limit,
+        preexec_fn=_limit_memory,
         timeout=30,
     )
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = sum(after[:2]) - sum(before[:2])  # user plus system time
     return proc.returncode, proc.stdout, proc.stderr, cpu
+
+
+@contextlib.contextmanager
+def start_limited(*argv):
+    """Start `python -m vcube ARGV` as `run_limited` runs it, and yield the
+    `Popen` with binary stdout and stderr pipes.  On exit the child is
+    killed and waited for, so none is left running."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "vcube", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        preexec_fn=_limit_memory,
+    ) as proc:
+        try:
+            yield proc
+        finally:
+            proc.kill()
