@@ -17,6 +17,7 @@ from typing import Iterator, List, Optional, Tuple
 from .cube import (
     Family,
     _ball_bits,
+    _gosper,
     _layer_bits,
     format_mask,
     parse_mask,
@@ -40,60 +41,71 @@ class InducedMatching:
     edges: Tuple[Edge, ...]
 
 
+def _clash(e: Edge, f: Edge) -> Optional[str]:
+    """Why layer edges e and f cannot both lie in an induced matching, or
+    None: a shared endpoint, or a lower end inside the other's upper end."""
+    (lo1, up1), (lo2, up2) = e, f
+    if lo1 == lo2:
+        return f"lower vertex {lo1:#x} used twice"
+    if up1 == up2:
+        return f"upper vertex {up1:#x} used twice"
+    if not lo1 & ~up2:
+        return f"not induced: lower {lo1:#x} inside upper {up2:#x}"
+    if not lo2 & ~up1:
+        return f"not induced: lower {lo2:#x} inside upper {up1:#x}"
+    return None
+
+
 def validate_matching(m: InducedMatching) -> Tuple[bool, Optional[str]]:
-    """Check shape, vertex-disjointness and inducedness.
+    """Check each edge's shape, then that it clashes with no earlier edge.
 
     Returns (True, None) or (False, description of the first violation).
     """
     n, k = m.n, m.k
     if not 0 <= k < n:
         return False, f"level k={k} outside [0, {n - 1}]"
-    seen_lo = set()
-    seen_up = set()
-    for lo, up in m.edges:
+    for j, (lo, up) in enumerate(m.edges):
         if lo < 0 or lo >> n or up < 0 or up >> n:
             return False, f"edge ({lo:#x},{up:#x}) does not fit n={n}"
         if lo.bit_count() != k or up.bit_count() != k + 1:
             return False, f"edge ({lo:#x},{up:#x}) is not a layer-{k} edge"
         if lo & ~up:
             return False, f"edge ({lo:#x},{up:#x}) endpoints not nested"
-        if lo in seen_lo:
-            return False, f"lower vertex {lo:#x} used twice"
-        if up in seen_up:
-            return False, f"upper vertex {up:#x} used twice"
-        seen_lo.add(lo)
-        seen_up.add(up)
-    for i, (lo1, up1) in enumerate(m.edges):
-        for lo2, up2 in m.edges[i + 1 :]:
-            if not lo1 & ~up2:
-                return False, (
-                    f"not induced: lower {lo1:#x} inside upper {up2:#x}"
-                )
-            if not lo2 & ~up1:
-                return False, (
-                    f"not induced: lower {lo2:#x} inside upper {up1:#x}"
-                )
+        for e in m.edges[:j]:
+            why = _clash(e, (lo, up))
+            if why:
+                return False, why
     return True, None
 
 
 def _edge_list(n: int, k: int) -> List[Edge]:
-    edges = []
-    fam = Family(n, _layer_bits(n, k))
-    for lo in fam:
-        for i in range(n):
-            b = 1 << i
-            if not lo & b:
-                edges.append((lo, lo | b))
-    return edges
+    return [
+        (lo, lo | 1 << i)
+        for lo in _gosper(n, k)
+        for i in range(n)
+        if not lo >> i & 1
+    ]
+
+
+def _conflict_graph(n: int, k: int) -> Tuple[List[Edge], List[int]]:
+    """The layer-k edges, and for edge i the mask of edge indices that
+    clash with it; an induced matching is an independent set here."""
+    edges = _edge_list(n, k)
+    conflict = [0] * len(edges)
+    for i, j in combinations(range(len(edges)), 2):
+        if _clash(edges[i], edges[j]):
+            conflict[i] |= 1 << j
+            conflict[j] |= 1 << i
+    return edges, conflict
 
 
 def enumerate_induced_matchings(n: int, k: int) -> Iterator[InducedMatching]:
     """Every induced matching between layers k and k+1, exactly once.
 
-    Depth-first over edges in lexicographic order; two forbidden-vertex
-    bit vectors carry the incremental inducedness constraint, and the
-    strictly increasing edge index makes each matching canonical.  The
-    empty matching is emitted first.
+    Depth-first over edges in lexicographic order; one forbidden-edge mask
+    accumulates the conflicts of the edges taken, and the strictly
+    increasing edge index makes each matching canonical.  The empty
+    matching is emitted first.
     """
     if not 0 <= k < n:
         raise DomainError(f"need 0 <= k < n, got n={n} k={k}")
@@ -102,39 +114,19 @@ def enumerate_induced_matchings(n: int, k: int) -> Iterator[InducedMatching]:
             f"induced-matching enumeration is guarded to n <= {ENUM_DIM_GUARD}, "
             f"got n={n}"
         )
-    edges = _edge_list(n, k)
-    # Adding edge (lo, up) outlaws every lower inside up and every upper
-    # over lo, which covers both vertex reuse and inducedness.
-    cover_lo = []
-    cover_up = []
-    for lo, up in edges:
-        lo_mask = 0
-        u = up
-        while u:
-            b = u & -u
-            lo_mask |= 1 << (up ^ b)
-            u ^= b
-        up_mask = 0
-        for i in range(n):
-            b = 1 << i
-            if not lo & b:
-                up_mask |= 1 << (lo | b)
-        cover_lo.append(lo_mask)
-        cover_up.append(up_mask)
-
+    edges, conflict = _conflict_graph(n, k)
     acc: List[Edge] = []
 
-    def walk(start: int, forb_lo: int, forb_up: int) -> Iterator[InducedMatching]:
+    def walk(start: int, forb: int) -> Iterator[InducedMatching]:
         yield InducedMatching(n, k, tuple(acc))
         for idx in range(start, len(edges)):
-            lo, up = edges[idx]
-            if forb_lo >> lo & 1 or forb_up >> up & 1:
+            if forb >> idx & 1:
                 continue
             acc.append(edges[idx])
-            yield from walk(idx + 1, forb_lo | cover_lo[idx], forb_up | cover_up[idx])
+            yield from walk(idx + 1, forb | conflict[idx])
             acc.pop()
 
-    yield from walk(0, 0, 0)
+    yield from walk(0, 0)
 
 
 def matching_to_family(m: InducedMatching) -> Family:

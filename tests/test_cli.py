@@ -460,6 +460,17 @@ class TestSweepCommand:
         assert float(row[3]) == pytest.approx(want, rel=1e-9)
         assert float(row[3]) <= float(row[4])
 
+    def test_bounds_lower_rises_with_n_below_2_32(self, capsys):
+        # (1-eps)n is past 2^28 here; lgamma's rounding made log_lower
+        # alternate between two values instead of rising
+        code, out, _ = run_cli(capsys, "sweep", "bounds",
+                               "4294967297..4294967300", "--k", "3",
+                               "--epsilon", "1/3")
+        assert code == 0
+        lower = [float(row.split(",")[3]) for row in out.splitlines()[1:]]
+        assert len(lower) == 4
+        assert all(a < b for a, b in zip(lower, lower[1:])), lower
+
     def test_bounds_rows_ordered(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "bounds", "8..16", "--k", "2", "--epsilon", "1/8"

@@ -281,6 +281,11 @@ class TestBinomials:
         exact = math.log(math.comb(int(n), k))
         assert log_binom(n, k) == pytest.approx(exact, rel=1e-9)
 
+    def test_log_binom_below_2_32_keeps_a_small_side(self):
+        # the lgamma difference read 64.750351 here, against 64.750370
+        exact = math.log(math.comb(2**32, 3))
+        assert log_binom(2**32, 3) == pytest.approx(exact, rel=1e-12)
+
     def test_log_binom_huge_dimension(self):
         # far beyond the dense-family cap
         val = log_binom(1 << 20, 1 << 19)

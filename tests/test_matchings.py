@@ -27,7 +27,7 @@ from vcube import (
     validate_matching,
     vc_report,
 )
-from vcube.matchings import _edge_list
+from vcube.matchings import _clash, _conflict_graph, _edge_list, _encode
 
 
 def edges_of(n, k, *pairs):
@@ -35,6 +35,10 @@ def edges_of(n, k, *pairs):
     for lo, up in pairs:
         out.append((mask_from_elements(lo, n), mask_from_elements(up, n)))
     return InducedMatching(n, k, tuple(out))
+
+
+def ref_set(mask, n):
+    return frozenset(e + 1 for e in range(n) if mask >> e & 1)
 
 
 class TestValidate:
@@ -70,13 +74,32 @@ class TestValidate:
                 chosen = [e for e in edges if rng.random() < 0.25]
                 m = InducedMatching(n, k, tuple(chosen))
                 ref_edges = [
-                    (
-                        frozenset(e + 1 for e in range(n) if lo >> e & 1),
-                        frozenset(e + 1 for e in range(n) if up >> e & 1),
-                    )
-                    for lo, up in chosen
+                    (ref_set(lo, n), ref_set(up, n)) for lo, up in chosen
                 ]
                 assert validate_matching(m)[0] == ref.is_induced_matching(ref_edges)
+
+    def test_clash_agrees_with_reference_on_every_pair(self):
+        # 1,002 unordered pairs of distinct layer edges over n <= 5
+        pairs = 0
+        for n in range(1, 6):
+            for k in range(n):
+                for e, f in combinations(_edge_list(n, k), 2):
+                    want = ref.is_induced_matching(
+                        [(ref_set(lo, n), ref_set(up, n)) for lo, up in (e, f)]
+                    )
+                    assert (_clash(e, f) is None) == want, (n, k, e, f)
+                    pairs += 1
+        assert pairs == 1002
+
+    def test_conflict_graph_is_symmetric_without_loops(self):
+        for n in range(1, 6):
+            for k in range(n):
+                edges, conflict = _conflict_graph(n, k)
+                assert len(conflict) == len(edges)
+                for i, row in enumerate(conflict):
+                    assert not row >> i & 1
+                    for j in range(len(edges)):
+                        assert row >> j & 1 == conflict[j] >> i & 1
 
 
 class TestEnumerate:
@@ -184,6 +207,16 @@ class TestDecoding:
             assert family_to_matching(fam, 1) == m
             assert calls == [m]
             monkeypatch.undo()
+
+    def test_decode_rejects_a_lower_shared_by_three_uppers(self):
+        # the three singletons each miss only the lower set, the empty set;
+        # re-encoding flips that lower three times, which leaves it absent
+        # as one edge would, so only the validation step rejects the family
+        fam = Family(3, 0b10110)
+        m = InducedMatching(3, 0, ((0, 1), (0, 2), (0, 4)))
+        assert _encode(m) == fam
+        with pytest.raises(NotInImageError, match="lower vertex 0x0 used"):
+            family_to_matching(fam, 0)
 
     def test_two_singletons_not_in_image(self):
         with pytest.raises(NotInImageError):
